@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -19,7 +20,6 @@ import numpy as np
 
 from bellopt import __version__
 from bellopt.conditions import (
-    Stage,
     check_column_conditions,
     conditioned_vs_unconditioned_experiment,
     scan_bunched_two_mode,
@@ -92,19 +92,30 @@ def _heartbeat():
     return progress
 
 
-def _run_optimize(ns: argparse.Namespace) -> tuple:
+def _optimizer_config(ns: argparse.Namespace, n_a: int) -> tuple[OptimizerConfig, dict]:
+    """Optimizer settings from the flags `optimize` and `sweep` share.
+
+    Also returns their echo for the manifest's config, which each command
+    completes with its own ancilla key.
+    """
     cfg = OptimizerConfig(
-        n_a=ns.na,
+        n_a=n_a,
         restarts=ns.restarts,
         max_iterations=ns.iters,
         seed=ns.seed,
         parallelism=ns.parallelism,
         init_scale=ns.init_scale,
     )
-    return optimize(cfg, progress=_heartbeat()), cfg
+    echo = {
+        "restarts": ns.restarts,
+        "iters": ns.iters,
+        "init_scale": ns.init_scale,
+        "parallelism": ns.parallelism,
+    }
+    return cfg, echo
 
 
-def _optimize_payload(result, cfg: OptimizerConfig, keep_traces: bool) -> dict:
+def _optimize_payload(result, keep_traces: bool) -> dict:
     per_restart = []
     for record in result.per_restart:
         row = {
@@ -139,19 +150,14 @@ def _optimize_payload(result, cfg: OptimizerConfig, keep_traces: bool) -> dict:
 
 
 def cmd_optimize(ns: argparse.Namespace) -> int:
-    result, cfg = _run_optimize(ns)
+    cfg, echo = _optimizer_config(ns, ns.na)
+    result = optimize(cfg, progress=_heartbeat())
     print(f"{result.report.h_mutual:.6f}")
     if ns.out:
-        payload = _optimize_payload(result, cfg, ns.keep_traces)
+        payload = _optimize_payload(result, ns.keep_traces)
         payload["manifest"] = _manifest(
             "optimize",
-            {
-                "na": ns.na,
-                "restarts": ns.restarts,
-                "iters": ns.iters,
-                "init_scale": ns.init_scale,
-                "parallelism": ns.parallelism,
-            },
+            {"na": ns.na, **echo},
             ns.seed,
             [],
             [str(ns.out)],
@@ -184,8 +190,8 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
             "m": table.m,
             "garbage": table.garbage.tolist(),
             "outcomes": [
-                {"occupations": list(state.occupations), "p": probs.tolist()}
-                for state, probs in table.rows.items()
+                {"occupations": list(state.occupations), "p": probs}
+                for state, probs in zip(table.states, table.p.tolist())
             ],
         }
         _write_json(ns.table, payload)
@@ -196,27 +202,14 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     na_values = _parse_na_list(ns.na_list)
     rows = []
     for na in na_values:
-        cfg = OptimizerConfig(
-            n_a=na,
-            restarts=ns.restarts,
-            max_iterations=ns.iters,
-            seed=ns.seed,
-            parallelism=ns.parallelism,
-            init_scale=ns.init_scale,
-        )
+        cfg, echo = _optimizer_config(ns, na)
         result = optimize(cfg, progress=_heartbeat())
         rows.append((na, result.report.h_mutual))
         print(f"{na} {result.report.h_mutual:.6f}")
     if ns.out:
         manifest = _manifest(
             "sweep",
-            {
-                "na_list": list(na_values),
-                "restarts": ns.restarts,
-                "iters": ns.iters,
-                "init_scale": ns.init_scale,
-                "parallelism": ns.parallelism,
-            },
+            {"na_list": list(na_values), **echo},
             ns.seed,
             [],
             [str(ns.out)],
@@ -275,7 +268,8 @@ def cmd_check(ns: argparse.Namespace) -> int:
         raise ContractViolationError(
             f"matrix has {matrix.m} modes but na={ns.na} needs {ns.na + 4}"
         )
-    verdicts = check_column_conditions(matrix, ns.na, tol=ns.tol, stage=Stage.FULL)
+    verdicts = check_column_conditions(matrix, ns.na, tol=ns.tol)
+    scan = scan_bunched_two_mode(matrix, ns.na, tol=ns.tol)
     failing = []
     for verdict in verdicts:
         satisfied = ",".join(sorted(verdict.satisfied)) or "-"
@@ -286,7 +280,6 @@ def cmd_check(ns: argparse.Namespace) -> int:
         )
         if not verdict.satisfied:
             failing.append(verdict.column)
-    scan = scan_bunched_two_mode(matrix, ns.na, tol=ns.tol)
     ambiguous = [v for v in scan if v.ambiguous]
     print(
         f"bunched scan: {len(scan)} outcomes, "
@@ -311,6 +304,13 @@ def cmd_sample(ns: argparse.Namespace) -> int:
     write_matrix_file(ns.out, matrix)
     print(f"wrote {ns.kind} matrix ({matrix.m}x{matrix.m}) to {ns.out}")
     return 0
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_na_list(text: str) -> tuple[int, ...]:
@@ -351,14 +351,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_opt = sub.add_parser("optimize", help="maximize mutual information over circuits")
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--restarts", type=int, default=20)
+    run_flags.add_argument("--seed", type=int, default=0)
+    run_flags.add_argument("--iters", type=int, default=2000, help="iteration cap per restart")
+    run_flags.add_argument("--init-scale", type=float, default=0.5)
+    run_flags.add_argument("--parallelism", type=int, default=0,
+                           help="worker processes (0 = every CPU this process may use)")
+
+    p_opt = sub.add_parser("optimize", parents=[run_flags],
+                           help="maximize mutual information over circuits")
     p_opt.add_argument("--na", type=int, required=True, help="ancilla photon count")
-    p_opt.add_argument("--restarts", type=int, default=20)
-    p_opt.add_argument("--seed", type=int, default=0)
-    p_opt.add_argument("--iters", type=int, default=2000, help="iteration cap per restart")
-    p_opt.add_argument("--init-scale", type=float, default=0.5)
-    p_opt.add_argument("--parallelism", type=int, default=0,
-                       help="worker processes (0 = all cores)")
     p_opt.add_argument("--out", type=Path, default=None, help="result JSON path")
     p_opt.add_argument("--keep-traces", action="store_true",
                        help="include per-restart objective traces in the result file")
@@ -371,13 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the full outcome table as JSON")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_sweep = sub.add_parser("sweep", help="optimize across several ancilla counts")
+    p_sweep = sub.add_parser("sweep", parents=[run_flags],
+                             help="optimize across several ancilla counts")
     p_sweep.add_argument("--na-list", required=True, help="comma-separated ancilla counts")
-    p_sweep.add_argument("--restarts", type=int, default=20)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--iters", type=int, default=2000)
-    p_sweep.add_argument("--init-scale", type=float, default=0.5)
-    p_sweep.add_argument("--parallelism", type=int, default=0)
     p_sweep.add_argument("--out", type=Path, default=None, help="CSV output path")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -417,9 +416,7 @@ def main(argv=None) -> int:
         if ns.parallelism < 0:
             parser.error("--parallelism must be >= 0")
         if ns.parallelism == 0:
-            import os
-
-            ns.parallelism = os.cpu_count() or 1
+            ns.parallelism = _usable_cpus()
     if ns.command == "sweep":
         try:
             _parse_na_list(ns.na_list)

@@ -8,23 +8,31 @@ zero-pattern conditions on the transformation matrix that force every
 two-mode-bunched outcome into clause A. The column checker, not any
 particular construction, is the source of truth.
 
+The bunched scan reads every outcome's amplitudes from one run of the
+whole-alphabet cascade in :mod:`bellopt.transfer`. :func:`classify_outcome`
+classifies a single outcome from its Ryser permanents instead; it is the
+per-outcome route and the reference the scan is tested against.
+
 Zero means "below ``tol``" throughout; the threshold is a knob surfaced in
 every report because near-perfect analyzers only need near-zeros.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from bellopt.errors import ContractViolationError
-from bellopt.fock import FockState
+from bellopt.fock import FockState, enumerate_outcomes
 from bellopt.infometrics import mutual_information
 from bellopt.transfer import (
     BellAmplitudes,
     CircuitMatrix,
+    OutcomeTable,
+    bell_amplitude_arrays,
     bell_amplitudes,
     outcome_probabilities,
     outcome_table,
@@ -42,18 +50,6 @@ class Clause(str, Enum):
     B = "B"
     C = "C"
     NONE = "NONE"
-
-
-class Stage(str, Enum):
-    """Which revision of the column conditions to check.
-
-    P0 covers only fully bunched outcomes, P1 additionally one-photon
-    spill-over, FULL the complete set with the cross-column alternations.
-    """
-
-    P0 = "P0"
-    P1 = "P1"
-    FULL = "FULL"
 
 
 CONDITION_LABELS = ("I", "II", "III", "IV")
@@ -84,29 +80,26 @@ class ColumnWitness:
     column: int
     ancilla_zero_rows: tuple[int, ...]
     qubit_zero_rows: tuple[int, ...]
-    cross_zero_rows: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    cross_zero_rows: dict[int, tuple[int, ...]]
 
 
 @dataclass
 class ColumnVerdict:
-    """Which structural conditions a column satisfies at the chosen stage."""
+    """Which structural conditions a column satisfies."""
 
     column: int
     satisfied: frozenset[str]
     witness: ColumnWitness
 
 
-def classify_outcome(
-    u: CircuitMatrix, y: FockState, n_a: int, tol: float = DEFAULT_TOL
-) -> OutcomeVerdict:
-    """Sort one outcome into clause A, B, C, or NONE.
+def _verdict(y: FockState, amps: BellAmplitudes, tol: float) -> OutcomeVerdict:
+    """Sort one outcome into clause A, B, C, or NONE from its four amplitudes.
 
     A: all four amplitudes vanish. B: the first pair agrees up to sign (one of
     p(y|1), p(y|2) is zero, the other positive) while the second pair
     vanishes. C: the mirror image. NONE with probability mass is an ambiguous
     outcome.
     """
-    amps = bell_amplitudes(u, y, n_a)
     mags = np.abs(amps.as_array())
     prob_mass = float(outcome_probabilities(amps, y).sum())
     clause = Clause.NONE
@@ -134,50 +127,48 @@ def classify_outcome(
     )
 
 
-def bunched_two_mode_outcomes(n_a: int) -> list[FockState]:
-    """Every outcome with all photons in at most two modes, in a fixed order.
+def classify_outcome(
+    u: CircuitMatrix, y: FockState, n_a: int, tol: float = DEFAULT_TOL
+) -> OutcomeVerdict:
+    """Sort one outcome into clause A, B, C, or NONE via its Ryser permanents."""
+    return _verdict(y, bell_amplitudes(u, y, n_a), tol)
 
-    Covers N photons split (N-P, P) over ordered mode pairs for all
-    0 <= P <= N/2; duplicates from the symmetric split are kept once.
-    """
-    n, m = n_a + 2, n_a + 4
-    seen: set[tuple[int, ...]] = set()
-    result: list[FockState] = []
-    for p in range(n // 2 + 1):
-        for mode_l in range(m):
-            if p == 0:
-                occ = [0] * m
-                occ[mode_l] = n
-                key = tuple(occ)
-                if key not in seen:
-                    seen.add(key)
-                    result.append(FockState(key))
-                continue
-            for mode_s in range(m):
-                if mode_s == mode_l:
-                    continue
-                occ = [0] * m
-                occ[mode_l] = n - p
-                occ[mode_s] = p
-                key = tuple(occ)
-                if key not in seen:
-                    seen.add(key)
-                    result.append(FockState(key))
-    return result
+
+@lru_cache(maxsize=None)
+def _bunched_indices(n_a: int) -> np.ndarray:
+    """Alphabet indices of the outcomes with all photons in at most two modes."""
+    states = enumerate_outcomes(n_a + 2, n_a + 4)
+    indices = np.array(
+        [i for i, y in enumerate(states) if sum(1 for k in y.occupations if k) <= 2],
+        dtype=np.intp,
+    )
+    indices.setflags(write=False)
+    return indices
+
+
+def bunched_two_mode_outcomes(n_a: int) -> list[FockState]:
+    """Every outcome with all photons in at most two modes, in alphabet order."""
+    states = enumerate_outcomes(n_a + 2, n_a + 4)
+    return [states[i] for i in _bunched_indices(n_a)]
 
 
 def scan_bunched_two_mode(
     u: CircuitMatrix, n_a: int, tol: float = DEFAULT_TOL
 ) -> list[OutcomeVerdict]:
-    """Classify every two-mode-bunched outcome.
+    """Classify every two-mode-bunched outcome, in alphabet order.
 
     Any verdict that is NONE with probability mass marks the analyzer as
     unable to perform an ideal measurement.
     """
-    return [classify_outcome(u, y, n_a, tol) for y in bunched_two_mode_outcomes(n_a)]
+    u.require_subunitary()
+    amps = np.stack(bell_amplitude_arrays(u.entries, n_a), axis=-1)[_bunched_indices(n_a)]
+    return [
+        _verdict(y, BellAmplitudes(*row), tol)
+        for y, row in zip(bunched_two_mode_outcomes(n_a), amps.tolist())
+    ]
 
 
-def _check_full_conditions(
+def _column_conditions(
     zeros: np.ndarray,
     n_a: int,
     col: int,
@@ -213,59 +204,30 @@ def _check_full_conditions(
 
 
 def check_column_conditions(
-    u: CircuitMatrix,
-    n_a: int,
-    tol: float = DEFAULT_TOL,
-    stage: Stage = Stage.FULL,
+    u: CircuitMatrix, n_a: int, tol: float = DEFAULT_TOL
 ) -> list[ColumnVerdict]:
-    """Evaluate the per-column zero-pattern conditions at the chosen stage."""
+    """Evaluate the per-column zero-pattern conditions I-IV."""
     m = n_a + 4
     if u.m != m:
         raise ContractViolationError(f"matrix is {u.m}x{u.m}, expected {m}x{m}")
-    stage = Stage(stage)
     zeros = np.abs(u.entries) < tol
     verdicts = []
     for col in range(m):
         s_set = [r for r in range(n_a) if zeros[r, col]]
         q12 = bool(zeros[n_a, col] and zeros[n_a + 1, col])
         q34 = bool(zeros[n_a + 2, col] and zeros[n_a + 3, col])
-        if stage is Stage.P0:
-            satisfied = set()
-            if len(s_set) >= 1:
-                satisfied.add("I")
-            if q12:
-                satisfied.add("II")
-            if q34:
-                satisfied.add("III")
-        elif stage is Stage.P1:
-            satisfied = set()
-            if len(s_set) >= 2:
-                satisfied.add("I")
-            if len(s_set) >= 1 and q12:
-                satisfied.add("II")
-            if len(s_set) >= 1 and q34:
-                satisfied.add("III")
-            if q12 and q34:
-                satisfied.add("IV")
-        else:
-            satisfied = _check_full_conditions(zeros, n_a, col, s_set, q12, q34)
-
-        qubit_zero_rows = tuple(
-            r + 1 for r in range(n_a, n_a + 4) if zeros[r, col]
-        )
+        satisfied = _column_conditions(zeros, n_a, col, s_set, q12, q34)
+        witness_rows = sorted(set(s_set) | set(range(n_a, n_a + 4)))
         witness = ColumnWitness(
             column=col + 1,
             ancilla_zero_rows=tuple(r + 1 for r in s_set),
-            qubit_zero_rows=qubit_zero_rows,
+            qubit_zero_rows=tuple(r + 1 for r in range(n_a, n_a + 4) if zeros[r, col]),
+            cross_zero_rows={
+                l + 1: tuple(r + 1 for r in witness_rows if zeros[r, l])
+                for l in range(m)
+                if l != col
+            },
         )
-        if stage is Stage.FULL:
-            witness_rows = set(s_set) | set(range(n_a, n_a + 4))
-            for l in range(m):
-                if l == col:
-                    continue
-                witness.cross_zero_rows[l + 1] = tuple(
-                    r + 1 for r in sorted(witness_rows) if zeros[r, l]
-                )
         verdicts.append(
             ColumnVerdict(column=col + 1, satisfied=frozenset(satisfied), witness=witness)
         )
@@ -307,10 +269,8 @@ class ExperimentComparison:
     unconditioned: PopulationResult
 
 
-def _bunched_mass(table, n_a: int) -> float:
-    return float(
-        sum(table.rows[y].sum() for y in bunched_two_mode_outcomes(n_a))
-    )
+def _bunched_mass(table: OutcomeTable, n_a: int) -> float:
+    return float(table.p[_bunched_indices(n_a)].sum())
 
 
 def conditioned_vs_unconditioned_experiment(

@@ -52,9 +52,8 @@ def conditional_bits(p_yx: np.ndarray, garbage: np.ndarray | None = None) -> np.
 
 def conditional_information(table: OutcomeTable, include_garbage: bool = False) -> float:
     """H(X|Y) of an outcome table, optionally charging the garbage outcome too."""
-    p = table.probability_matrix()
     garbage = table.garbage if include_garbage else None
-    return float(conditional_bits(p, garbage))
+    return float(conditional_bits(table.p, garbage))
 
 
 def mutual_information(table: OutcomeTable) -> InfoReport:

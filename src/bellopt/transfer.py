@@ -1,16 +1,17 @@
 """Fock-basis amplitude engine for linear optical mode transformations.
 
-Three routes to the same transition amplitudes live here on purpose:
+:func:`outcome_table` and :func:`bell_amplitude_arrays` cascade photons
+through precomputed mode-insertion index maps, producing amplitudes for the
+whole outcome alphabet at once. This cascade is the only engine on the
+production path: the optimizer, the information metrics and the conditions
+checker all read it.
 
-* :func:`amplitude` evaluates single matrix elements through a Ryser
-  permanent with Gray-code subset updates,
+Two independent routes to the same amplitudes stay here as test references:
+
+* :func:`amplitude` and :func:`bell_amplitudes` evaluate single matrix
+  elements through a Ryser permanent with Gray-code subset updates,
 * :func:`amplitude_oracle` expands the transformed creation-operator
-  product symbolically (desk scale only) and is kept as an independent
-  cross-check of the permanent route,
-* :func:`outcome_table` cascades photons through precomputed
-  mode-insertion index maps, producing amplitudes for the whole outcome
-  alphabet at once; this is the path the optimizer hammers on, and it is
-  validated against the other two in the test suite.
+  product symbolically (desk scale only).
 
 A mode transformation maps creation operator ``a_r`` to
 ``sum_c U[r, c] a_c``, so row indices are input modes and column indices
@@ -86,23 +87,22 @@ class BellAmplitudes:
 
 @dataclass
 class OutcomeTable:
-    """p(y|x) for every retained outcome y plus the leaked-photon probabilities.
+    """p(y|x) for every outcome y plus the leaked-photon probabilities.
 
-    ``rows`` maps each outcome to the 4-vector (p(y|1), ..., p(y|4)) in
-    enumeration order; ``garbage[x-1]`` is the probability that input x loses
-    at least one photon to an unmeasured mode.
+    ``p`` has shape (K, 4): row i is (p(y|1), ..., p(y|4)) for the i-th
+    outcome of :attr:`states`; ``garbage[x-1]`` is the probability that input
+    x loses at least one photon to an unmeasured mode.
     """
 
-    rows: dict[FockState, np.ndarray]
+    p: np.ndarray
     garbage: np.ndarray
     n_a: int
     m: int
 
-    def probability_matrix(self) -> np.ndarray:
-        """All rows stacked into a (num_outcomes, 4) array."""
-        if not self.rows:
-            return np.zeros((0, 4))
-        return np.stack(list(self.rows.values()))
+    @property
+    def states(self) -> tuple[FockState, ...]:
+        """The outcome alphabet, in :func:`bellopt.fock.enumerate_outcomes` order."""
+        return enumerate_outcomes(self.n_a + 2, self.m)
 
 
 def permanent(a: np.ndarray) -> complex:
@@ -405,6 +405,4 @@ def outcome_table(u: CircuitMatrix, n_a: int) -> OutcomeTable:
         raise ContractViolationError(f"matrix is {u.m}x{u.m}, expected {m}x{m} for n_a={n_a}")
     u.require_subunitary()
     p, garbage = bell_probability_arrays(u.entries, n_a)
-    states = enumerate_outcomes(n_a + 2, m)
-    rows = {state: p[i] for i, state in enumerate(states)}
-    return OutcomeTable(rows=rows, garbage=garbage, n_a=n_a, m=m)
+    return OutcomeTable(p=p, garbage=garbage, n_a=n_a, m=m)

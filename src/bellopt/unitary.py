@@ -14,6 +14,7 @@ callers that need several independent streams split them via
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -240,5 +241,7 @@ def read_matrix_file(path) -> CircuitMatrix:
             or not all(isinstance(v, (int, float)) for v in pair)
         ):
             raise MatrixFileError(f"{path}: entry {i} must be a [re, im] pair, got {pair!r}")
+        if not all(math.isfinite(v) for v in pair):
+            raise MatrixFileError(f"{path}: entry {i} is not finite: {pair!r}")
         values.append(complex(pair[0], pair[1]))
     return CircuitMatrix(np.array(values, dtype=np.complex128).reshape(m, m))

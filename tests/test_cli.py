@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -44,6 +45,36 @@ def test_evaluate_rejects_super_unitary(tmp_path, capsys):
     write_matrix_file(path, CircuitMatrix(1.5 * np.eye(4)))
     assert run_cli(["evaluate", "--matrix", path, "--na", 0]) == 1
     assert "sub-unitary" in capsys.readouterr().err
+
+
+def _nan_matrix_file(path):
+    write_matrix_file(path, CircuitMatrix(np.eye(4)))
+    doc = json.loads(path.read_text())
+    doc["entries"][5] = [float("nan"), 0.0]
+    path.write_text(json.dumps(doc))  # json writes the bare token NaN
+    return path
+
+
+@pytest.mark.parametrize("command", ["evaluate", "check"])
+def test_nan_entry_is_a_one_line_error(tmp_path, capsys, command):
+    path = _nan_matrix_file(tmp_path / "nan.json")
+    assert run_cli([command, "--matrix", path, "--na", 0]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "entry 5" in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_check_rejects_super_unitary(tmp_path, capsys):
+    path = tmp_path / "double.json"
+    write_matrix_file(path, CircuitMatrix(2 * np.eye(4)))
+    assert run_cli(["check", "--matrix", path, "--na", 0]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "sub-unitary" in captured.err
+    assert captured.err.count("\n") == 1
+    assert "mass=" not in captured.out
 
 
 def test_evaluate_rejects_dimension_mismatch(tmp_path, capsys):
@@ -127,6 +158,23 @@ def test_optimize_reproducible_modulo_volatile_fields(tmp_path):
         return json.dumps(doc, sort_keys=True)
 
     assert strip(out1) == strip(out2)
+
+
+def test_parallelism_zero_reads_affinity_mask(tmp_path, monkeypatch):
+    def parallelism_recorded(name):
+        out = tmp_path / name
+        assert run_cli([
+            "optimize", "--na", 0, "--restarts", 1, "--iters", 2,
+            "--parallelism", 0, "--out", out,
+        ]) == 0
+        return json.loads(out.read_text())["manifest"]["config"]["parallelism"]
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert parallelism_recorded("mask.json") == 3
+    # Platforms without an affinity mask fall back to the CPU count.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert parallelism_recorded("count.json") == 64
 
 
 def test_sweep_writes_csv(tmp_path, capsys):

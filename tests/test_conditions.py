@@ -3,7 +3,6 @@ import pytest
 
 from bellopt.conditions import (
     Clause,
-    Stage,
     bunched_two_mode_outcomes,
     check_column_conditions,
     classify_outcome,
@@ -82,7 +81,7 @@ def test_clause_soundness_zero_entropy_terms():
     """Outcomes classified A/B/C contribute nothing to the conditional information."""
     for u in (standard_bsm(), CircuitMatrix(np.eye(4))):
         table = outcome_table(u, 0)
-        for state, row in table.rows.items():
+        for state, row in zip(table.states, table.p):
             verdict = classify_outcome(u, state, 0)
             if verdict.clause is Clause.NONE:
                 continue
@@ -101,6 +100,37 @@ def test_bunched_outcome_enumeration():
     assert len(occs) == len(outcomes)
     # N=2, M=4: four single-mode outcomes plus C(4,2) balanced splits
     assert len(outcomes) == 4 + 6
+    # N=8, M=10: ten single-mode outcomes, 90 ordered pairs for each of the
+    # splits 7+1, 6+2, 5+3, and C(10,2) pairs for 4+4
+    assert len(bunched_two_mode_outcomes(6)) == 10 + 3 * 90 + 45
+
+
+@pytest.mark.parametrize(
+    "n_a, make",
+    [
+        (0, lambda: CircuitMatrix(np.eye(4))),
+        (0, standard_bsm),
+        (0, lambda: haar_random_unitary(4, 31)),
+        (2, lambda: haar_random_unitary(6, 32)),
+        (4, lambda: sample_conditioned_unitary(4, 33)),
+        (4, lambda: haar_random_unitary(8, 34)),
+    ],
+    ids=["identity-0", "bsm-0", "haar-0", "haar-2", "conditioned-4", "haar-4"],
+)
+def test_scan_matches_permanent_reference(n_a, make):
+    """The cascade-backed scan agrees with classifying each outcome by permanents."""
+    u = make()
+    verdicts = scan_bunched_two_mode(u, n_a)
+    assert [v.outcome for v in verdicts] == bunched_two_mode_outcomes(n_a)
+    for verdict in verdicts:
+        ref = classify_outcome(u, verdict.outcome, n_a)
+        assert verdict.clause is ref.clause
+        assert verdict.sign == ref.sign
+        assert verdict.ambiguous == ref.ambiguous
+        assert np.allclose(
+            verdict.amplitudes.as_array(), ref.amplitudes.as_array(), rtol=0, atol=1e-12
+        )
+        assert verdict.prob_mass == pytest.approx(ref.prob_mass, rel=0, abs=1e-12)
 
 
 def test_scan_identity_all_clause_a():
@@ -138,7 +168,7 @@ def test_no_go_witness_bounds_information():
 
 def test_column_conditions_identity_satisfies_iv():
     u = CircuitMatrix(np.eye(8))
-    verdicts = check_column_conditions(u, 4, stage=Stage.FULL)
+    verdicts = check_column_conditions(u, 4)
     # Ancilla columns have every qubit row zero plus spare ancilla zeros.
     for verdict in verdicts[:4]:
         assert "IV" in verdict.satisfied
@@ -151,7 +181,7 @@ def test_column_conditions_identity_satisfies_iv():
 def test_column_conditions_conditioned_unitary():
     for n_a in (4, 6):
         u = sample_conditioned_unitary(n_a, 77)
-        verdicts = check_column_conditions(u, n_a, stage=Stage.FULL)
+        verdicts = check_column_conditions(u, n_a)
         assert all(verdict.satisfied for verdict in verdicts)
         assert all(verdict.satisfied <= {"I", "II", "III", "IV"} for verdict in verdicts)
 
@@ -170,21 +200,8 @@ def test_column_conditions_block_roles_for_documented_pattern():
 
 def test_column_conditions_haar_fails():
     u = haar_random_unitary(8, 4)
-    verdicts = check_column_conditions(u, 4, stage=Stage.FULL)
+    verdicts = check_column_conditions(u, 4)
     assert all(not verdict.satisfied for verdict in verdicts)
-
-
-def test_stage_monotonicity():
-    mats = [sample_conditioned_unitary(6, s) for s in range(4)]
-    mats.append(CircuitMatrix(np.eye(10)))
-    for u in mats:
-        full = check_column_conditions(u, 6, stage=Stage.FULL)
-        p1 = check_column_conditions(u, 6, stage=Stage.P1)
-        p0 = check_column_conditions(u, 6, stage=Stage.P0)
-        for vf, v1, v0 in zip(full, p1, p0):
-            if vf.satisfied:
-                assert v1.satisfied, f"column {vf.column} fails P1"
-                assert v0.satisfied, f"column {vf.column} fails P0"
 
 
 def test_witness_entries_are_real_zeros():

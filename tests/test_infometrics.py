@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from bellopt.fock import FockState, enumerate_outcomes
 from bellopt.infometrics import (
     H_X_BITS,
     S_RHO_BITS,
@@ -14,11 +13,8 @@ from bellopt.unitary import CircuitParams, haar_random_unitary, params_to_matrix
 
 
 def table_from_matrix(p: np.ndarray, garbage=None) -> OutcomeTable:
-    p = np.asarray(p, dtype=float)
-    states = enumerate_outcomes(2, 4)[: p.shape[0]]
-    rows = {s: p[i] for i, s in enumerate(states)}
     g = np.zeros(4) if garbage is None else np.asarray(garbage, dtype=float)
-    return OutcomeTable(rows=rows, garbage=g, n_a=0, m=4)
+    return OutcomeTable(p=np.asarray(p, dtype=float), garbage=g, n_a=0, m=4)
 
 
 def test_perfectly_distinguishing_table_is_zero_bits():
@@ -100,7 +96,7 @@ def test_global_phase_invariance():
     table = outcome_table(u, 2)
     rotated = outcome_table(CircuitMatrix(np.exp(0.7j) * u.entries), 2)
     assert np.allclose(
-        table.probability_matrix(), rotated.probability_matrix(), atol=1e-12
+        table.p, rotated.p, atol=1e-12
     )
     assert mutual_information(table).h_mutual == pytest.approx(
         mutual_information(rotated).h_mutual, abs=1e-12

@@ -147,26 +147,27 @@ def test_bell_amplitudes_dimension_checks():
 
 def test_outcome_table_identity():
     table = outcome_table(CircuitMatrix(np.eye(4)), 0)
-    assert table.rows[FockState((1, 0, 1, 0))] == pytest.approx([0.5, 0.5, 0, 0])
-    assert table.rows[FockState((0, 1, 0, 1))] == pytest.approx([0.5, 0.5, 0, 0])
-    assert table.rows[FockState((1, 0, 0, 1))] == pytest.approx([0, 0, 0.5, 0.5])
-    assert table.rows[FockState((0, 1, 1, 0))] == pytest.approx([0, 0, 0.5, 0.5])
+    rows = dict(zip(table.states, table.p))
+    assert rows[FockState((1, 0, 1, 0))] == pytest.approx([0.5, 0.5, 0, 0])
+    assert rows[FockState((0, 1, 0, 1))] == pytest.approx([0.5, 0.5, 0, 0])
+    assert rows[FockState((1, 0, 0, 1))] == pytest.approx([0, 0, 0.5, 0.5])
+    assert rows[FockState((0, 1, 1, 0))] == pytest.approx([0, 0, 0.5, 0.5])
     assert table.garbage == pytest.approx([0, 0, 0, 0])
     # every other outcome carries nothing for x = 1
-    for state, row in table.rows.items():
+    for state, row in rows.items():
         if state.occupations not in {(1, 0, 1, 0), (0, 1, 0, 1)}:
             assert row[0] == 0.0
 
 
 def test_outcome_table_zero_matrix_leaks_everything():
     table = outcome_table(CircuitMatrix(np.zeros((4, 4))), 0)
-    assert table.probability_matrix() == pytest.approx(np.zeros((10, 4)))
+    assert table.p == pytest.approx(np.zeros((10, 4)))
     assert table.garbage == pytest.approx([1, 1, 1, 1])
 
 
 def test_outcome_table_identity_bunching_is_exact_zero():
     table = outcome_table(CircuitMatrix(np.eye(6)), 2)
-    for state, row in table.rows.items():
+    for state, row in zip(table.states, table.p):
         if max(state.occupations) >= 2:
             assert all(p == 0.0 for p in row)
 
@@ -174,7 +175,7 @@ def test_outcome_table_identity_bunching_is_exact_zero():
 def test_outcome_table_columns_normalized_haar():
     u = haar_random_unitary(6, 123)
     table = outcome_table(u, 2)
-    sums = table.probability_matrix().sum(axis=0) + table.garbage
+    sums = table.p.sum(axis=0) + table.garbage
     assert sums == pytest.approx([1, 1, 1, 1], abs=1e-9)
 
 
@@ -193,7 +194,7 @@ def test_bell_probabilities_consistent_with_branch_amplitudes(n_a):
     """p(y|x) from the four permanent sums equals the direct two-branch evaluation."""
     u = random_subunitary(n_a + 4, seed=7 + n_a)
     table = outcome_table(u, n_a)
-    for state, row in table.rows.items():
+    for state, row in zip(table.states, table.p):
         amps = bell_amplitudes(u, state, n_a)
         assert row == pytest.approx(outcome_probabilities(amps, state), abs=1e-10)
         for x in (1, 2, 3, 4):
