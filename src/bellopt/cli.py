@@ -85,7 +85,10 @@ def _heartbeat():
         best = max(best, record.h_mutual)
         print(
             f"restart {record.restart} done ({done}/{total}): "
-            f"h={record.h_mutual:.6f} best={best:.6f}",
+            f"h={record.h_mutual:.6f} best={best:.6f} stop={record.stop} "
+            f"iters={record.iterations} f_evals={record.f_evals} "
+            f"grad_evals={record.grad_evals} backtracks={record.backtracks} "
+            f"steepest_fallbacks={record.steepest_fallbacks}",
             file=sys.stderr,
         )
 
@@ -122,8 +125,13 @@ def _optimize_payload(result, keep_traces: bool) -> dict:
             "restart": record.restart,
             "h_mutual": record.h_mutual,
             "iterations": record.iterations,
+            "stop": record.stop,
             "converged": record.converged,
             "grad_norm": record.grad_norm,
+            "f_evals": record.f_evals,
+            "grad_evals": record.grad_evals,
+            "backtracks": record.backtracks,
+            "steepest_fallbacks": record.steepest_fallbacks,
         }
         if keep_traces:
             row["objective_trace"] = record.objective_trace

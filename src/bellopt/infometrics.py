@@ -30,6 +30,12 @@ class InfoReport:
     s_rho: float = S_RHO_BITS
 
 
+def _log2_ratio(values: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """log2(totals / values), and 0 where a value is exactly 0."""
+    positive = values > 0.0
+    return np.log2(np.where(positive, totals / np.where(positive, values, 1.0), 1.0))
+
+
 def conditional_bits(p_yx: np.ndarray, garbage: np.ndarray | None = None) -> np.ndarray:
     """Average ambiguity (1/4) sum_y sum_x p(y|x) log2(sum_x' p(y|x') / p(y|x)).
 
@@ -39,15 +45,33 @@ def conditional_bits(p_yx: np.ndarray, garbage: np.ndarray | None = None) -> np.
     is folded in as one extra consolidated outcome. Returns shape (...,).
     """
     p_yx = np.asarray(p_yx, dtype=np.float64)
-    totals = p_yx.sum(axis=-1, keepdims=True)
-    ratio = np.where(p_yx > 0.0, totals / np.where(p_yx > 0.0, p_yx, 1.0), 1.0)
-    h = (p_yx * np.log2(ratio)).sum(axis=(-1, -2)) / 4.0
+    log_ratio = _log2_ratio(p_yx, p_yx.sum(axis=-1, keepdims=True))
+    h = (p_yx * log_ratio).sum(axis=(-1, -2)) / 4.0
     if garbage is not None:
         garbage = np.asarray(garbage, dtype=np.float64)
-        g_total = garbage.sum(axis=-1, keepdims=True)
-        g_ratio = np.where(garbage > 0.0, g_total / np.where(garbage > 0.0, garbage, 1.0), 1.0)
-        h = h + (garbage * np.log2(g_ratio)).sum(axis=-1) / 4.0
+        g_log_ratio = _log2_ratio(garbage, garbage.sum(axis=-1, keepdims=True))
+        h = h + (garbage * g_log_ratio).sum(axis=-1) / 4.0
     return h
+
+
+def conditional_bits_pullback(
+    p_yx: np.ndarray, garbage: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`conditional_bits` of one table with its partial derivatives.
+
+    Returns ``(h, dh/dp, dh/dgarbage)`` for ``p_yx`` of shape (K, 4) and
+    ``garbage`` of shape (4,), with p and garbage treated as independent:
+    dh/dp(y|x) = (1/4) log2(T_y / p(y|x)), T_y the row total, and likewise
+    (1/4) log2(G / g_x) for the garbage. Exact zeros get derivative 0, the
+    one-sided limit along any path p = |a|^2 through them, matching the
+    explicit branch in :func:`conditional_bits`.
+    """
+    p_yx = np.asarray(p_yx, dtype=np.float64)
+    garbage = np.asarray(garbage, dtype=np.float64)
+    p_bar = _log2_ratio(p_yx, p_yx.sum(axis=-1, keepdims=True)) / 4.0
+    g_bar = _log2_ratio(garbage, garbage.sum()) / 4.0
+    h = float((p_yx * p_bar).sum() + (garbage * g_bar).sum())
+    return h, p_bar, g_bar
 
 
 def conditional_information(table: OutcomeTable, include_garbage: bool = False) -> float:

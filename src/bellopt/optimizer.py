@@ -3,9 +3,13 @@
 The objective minimized is the garbage-corrected conditional information of
 the four-way Bell ensemble under the circuit induced by an unconstrained
 parameter vector; maximized mutual information is 2 minus its minimum.
-Descent is BFGS with Armijo backtracking, gradients come from central finite
-differences evaluated as one batched pass through the amplitude cascade, and
-global search is seeded multi-start with a deterministic reduction.
+Descent is BFGS with Armijo backtracking. Gradients come from one reverse
+pass that chains the pullbacks of the entropy (:mod:`bellopt.infometrics`),
+the amplitude cascade (:mod:`bellopt.transfer`) and the ``eigh``
+exponentials (:mod:`bellopt.unitary`), at about the cost of one objective
+evaluation. Central finite differences over a batched cascade stay as the
+test reference. Global search is seeded multi-start with a deterministic
+reduction.
 """
 
 from __future__ import annotations
@@ -18,9 +22,25 @@ import numpy as np
 
 from bellopt.errors import ContractViolationError
 from bellopt.fock import outcome_count
-from bellopt.infometrics import H_X_BITS, InfoReport, conditional_bits, mutual_information
-from bellopt.transfer import CircuitMatrix, bell_probability_parts, outcome_table
-from bellopt.unitary import CircuitParams, matrix_entries_from_vectors, params_to_matrix
+from bellopt.infometrics import (
+    H_X_BITS,
+    InfoReport,
+    conditional_bits,
+    conditional_bits_pullback,
+    mutual_information,
+)
+from bellopt.transfer import (
+    CircuitMatrix,
+    bell_probability_parts,
+    bell_probability_pullback,
+    outcome_table,
+)
+from bellopt.unitary import (
+    CircuitParams,
+    matrix_entries_from_vectors,
+    matrix_entries_pullback,
+    params_to_matrix,
+)
 
 #: Cap on batch-buffer size (elements) when evaluating many parameter vectors.
 _BATCH_ELEMENT_BUDGET = 4_000_000
@@ -38,7 +58,6 @@ class OptimizerConfig:
     n_a: int
     restarts: int = 20
     max_iterations: int = 2000
-    gradient_step: float = 1e-6
     convergence_tol: float = 1e-5
     init_scale: float = 0.5
     seed: int = 0
@@ -49,10 +68,6 @@ class OptimizerConfig:
             raise ContractViolationError(f"ancilla count must be >= 0, got {self.n_a}")
         if self.restarts < 1:
             raise ContractViolationError(f"restarts must be >= 1, got {self.restarts}")
-        if not 1e-9 < self.gradient_step < 1e-3:
-            raise ContractViolationError(
-                f"gradient_step must lie in (1e-9, 1e-3), got {self.gradient_step}"
-            )
         if self.convergence_tol <= 0:
             raise ContractViolationError(
                 f"convergence_tol must be positive, got {self.convergence_tol}"
@@ -71,14 +86,31 @@ class OptimizerConfig:
 
 @dataclass
 class RestartRecord:
-    """Outcome of one seeded descent."""
+    """Outcome of one seeded descent and what it spent.
+
+    ``stop`` is why the descent ended: ``gradient_tol`` (gradient norm below
+    the tolerance), ``line_search_floor`` (no step along the quasi-Newton or
+    the steepest-descent direction gave a representable decrease) or
+    ``iteration_cap``. ``f_evals`` counts objective-only evaluations (the
+    line-search trials), ``grad_evals`` value-and-gradient passes,
+    ``backtracks`` rejected line-search trials and ``steepest_fallbacks``
+    resets of the inverse Hessian to steepest descent.
+    """
 
     restart: int
     h_mutual: float
     iterations: int
-    converged: bool
+    stop: str
     grad_norm: float
+    f_evals: int
+    grad_evals: int
+    backtracks: int
+    steepest_fallbacks: int
     objective_trace: list[float] = field(default_factory=list, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "gradient_tol"
 
 
 @dataclass
@@ -124,6 +156,7 @@ def objective(params: CircuitParams, n_a: int) -> float:
 
 
 def _gradient_vector(x: np.ndarray, n_a: int, step: float) -> np.ndarray:
+    """Central finite-difference gradient: the test reference for the reverse pass."""
     dim = x.shape[0]
     points = np.repeat(x[None, :], 2 * dim, axis=0)
     idx = np.arange(dim)
@@ -133,47 +166,60 @@ def _gradient_vector(x: np.ndarray, n_a: int, step: float) -> np.ndarray:
     return (values[:dim] - values[dim:]) / (2.0 * step)
 
 
-def gradient(params: CircuitParams, n_a: int, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient of :func:`objective`, one value per parameter."""
+def _value_and_gradient(x: np.ndarray, n_a: int) -> tuple[float, np.ndarray]:
+    """Objective and its exact gradient at one parameter vector, by one reverse pass."""
+    u, u_pullback = matrix_entries_pullback(x, n_a + 4)
+    p, garbage, p_pullback = bell_probability_pullback(u, n_a)
+    f, p_bar, g_bar = conditional_bits_pullback(p.T, garbage)
+    return f, u_pullback(p_pullback(p_bar.T, g_bar))
+
+
+def gradient(params: CircuitParams, n_a: int) -> np.ndarray:
+    """Gradient of :func:`objective`, one value per parameter."""
     if params.m != n_a + 4:
         raise ContractViolationError(
             f"params describe {params.m} modes but n_a={n_a} needs {n_a + 4}"
         )
-    return _gradient_vector(params.to_vector(), n_a, step)
+    return _value_and_gradient(params.to_vector(), n_a)[1]
 
 
 def _bfgs_descent(
     x0: np.ndarray,
     n_a: int,
     max_iterations: int,
-    gradient_step: float,
     convergence_tol: float,
-) -> tuple[np.ndarray, float, float, int, bool, list[float]]:
-    """Minimize the objective from x0; returns (x, f, |g|, iters, converged, trace)."""
+) -> tuple[np.ndarray, float, dict]:
+    """Minimize the objective from x0.
+
+    Returns (x, f, stats) with stats holding the :class:`RestartRecord`
+    fields other than ``restart`` and ``h_mutual``.
+    """
     x = np.array(x0, dtype=np.float64)
-    f = float(_objective_vectors(x, n_a))
-    g = _gradient_vector(x, n_a, gradient_step)
+    f, g = _value_and_gradient(x, n_a)
     trace = [f]
     dim = x.shape[0]
     identity = np.eye(dim)
     h_inv = identity.copy()
     first_update = True
     iterations = 0
-    converged = False
+    stop = "iteration_cap"
+    counts = {"f_evals": 0, "grad_evals": 1, "backtracks": 0, "steepest_fallbacks": 0}
 
     def backtrack(direction: np.ndarray, slope: float) -> tuple[float, float] | None:
         step_size = 1.0
         for _ in range(_MAX_BACKTRACKS):
             f_try = float(_objective_vectors(x + step_size * direction, n_a))
+            counts["f_evals"] += 1
             if f_try <= f + _ARMIJO_C1 * step_size * slope:
                 return step_size, f_try
+            counts["backtracks"] += 1
             step_size *= _BACKTRACK_SHRINK
         return None
 
     for _ in range(max_iterations):
         g_norm = float(np.linalg.norm(g))
         if g_norm < convergence_tol:
-            converged = True
+            stop = "gradient_tol"
             break
         direction = -h_inv @ g
         slope = float(g @ direction)
@@ -185,6 +231,7 @@ def _bfgs_descent(
             direction = -g
             slope = -g_norm**2
             steepest = True
+            counts["steepest_fallbacks"] += 1
 
         accepted = backtrack(direction, slope)
         if accepted is None and not steepest:
@@ -193,14 +240,17 @@ def _bfgs_descent(
             first_update = True
             direction = -g
             slope = -g_norm**2
+            counts["steepest_fallbacks"] += 1
             accepted = backtrack(direction, slope)
         if accepted is None:
             # No representable decrease: objective is at its numerical floor.
+            stop = "line_search_floor"
             break
         step_size, f_new = accepted
 
         x_new = x + step_size * direction
-        g_new = _gradient_vector(x_new, n_a, gradient_step)
+        _, g_new = _value_and_gradient(x_new, n_a)
+        counts["grad_evals"] += 1
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -215,7 +265,9 @@ def _bfgs_descent(
         iterations += 1
         trace.append(f)
 
-    return x, f, float(np.linalg.norm(g)), iterations, converged, trace
+    stats = {"iterations": iterations, "stop": stop, "grad_norm": float(np.linalg.norm(g)),
+             **counts, "objective_trace": trace}
+    return x, f, stats
 
 
 def initial_vector(n_a: int, init_scale: float, rng: np.random.Generator) -> np.ndarray:
@@ -228,23 +280,12 @@ def initial_vector(n_a: int, init_scale: float, rng: np.random.Generator) -> np.
 
 
 def _run_restart(task) -> tuple[int, RestartRecord, np.ndarray]:
-    (index, n_a, seed, restarts, max_iterations, gradient_step, convergence_tol,
-     init_scale) = task
+    index, n_a, seed, restarts, max_iterations, convergence_tol, init_scale = task
     child = np.random.SeedSequence(seed).spawn(restarts)[index]
     rng = np.random.default_rng(child)
     x0 = initial_vector(n_a, init_scale, rng)
-    x, f, g_norm, iterations, converged, trace = _bfgs_descent(
-        x0, n_a, max_iterations, gradient_step, convergence_tol
-    )
-    record = RestartRecord(
-        restart=index,
-        h_mutual=H_X_BITS - f,
-        iterations=iterations,
-        converged=converged,
-        grad_norm=g_norm,
-        objective_trace=trace,
-    )
-    return index, record, x
+    x, f, stats = _bfgs_descent(x0, n_a, max_iterations, convergence_tol)
+    return index, RestartRecord(restart=index, h_mutual=H_X_BITS - f, **stats), x
 
 
 def optimize(cfg: OptimizerConfig, progress=None) -> OptimizationResult:
@@ -263,7 +304,6 @@ def optimize(cfg: OptimizerConfig, progress=None) -> OptimizationResult:
             cfg.seed,
             cfg.restarts,
             cfg.max_iterations,
-            cfg.gradient_step,
             cfg.convergence_tol,
             cfg.init_scale,
         )

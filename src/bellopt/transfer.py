@@ -4,7 +4,8 @@
 through precomputed mode-insertion index maps, producing amplitudes for the
 whole outcome alphabet at once. This cascade is the only engine on the
 production path: the optimizer, the information metrics and the conditions
-checker all read it.
+checker all read it. :func:`bell_probability_pullback` keeps its levels and
+runs it in reverse for the optimizer's gradient.
 
 Two independent routes to the same amplitudes stay here as test references:
 
@@ -303,8 +304,7 @@ def _apply_creation_row(vec: np.ndarray, row: np.ndarray, level: int, n_modes: i
     ``vec`` holds coefficients over the level-``level`` outcome basis on its
     FIRST axis, trailing batch axes pass through; ``row`` holds the M operator
     coefficients per batch element, batch axes leading. Keeping the outcome
-    axis first makes the scatter-adds row-contiguous, which is what the
-    optimizer's batched gradient lives on.
+    axis first makes the scatter-adds row-contiguous for batched evaluations.
     """
     targets = _insertion_targets(level, n_modes)
     out_dim = len(enumerate_outcomes(level + 1, n_modes))
@@ -319,21 +319,26 @@ def _bosonic_factor_array(n_photons: int, n_modes: int) -> np.ndarray:
     return np.array([bosonic_factor(s) for s in enumerate_outcomes(n_photons, n_modes)])
 
 
-def _cascade_amplitudes(u_flat: np.ndarray, n_a: int) -> tuple[np.ndarray, ...]:
-    """Four amplitude arrays of shape (K, B) for a flat batch of matrices (B, M, M)."""
+def _cascade(u: np.ndarray, n_a: int):
+    """Every level of the cascade for a matrix (M, M) or a flat batch (B, M, M).
+
+    Returns ``(levels, (q1, q2), (a1, a2, a3, a4))``: the ancilla levels
+    0..n_a, the two one-qubit-photon levels, and the four branch amplitudes
+    of shape (K,) or (K, B). The reverse pass reads the kept levels.
+    """
     m = n_a + 4
-    vec = np.ones((1,) + u_flat.shape[:-2], dtype=np.complex128)
+    levels = [np.ones((1,) + u.shape[:-2], dtype=np.complex128)]
     for j in range(n_a):
-        vec = _apply_creation_row(vec, u_flat[..., j, :], j, m)
+        levels.append(_apply_creation_row(levels[-1], u[..., j, :], j, m))
     # The four row sets share the ancilla prefix and pair one of rows
     # {n_a, n_a+1} with one of rows {n_a+2, n_a+3}.
-    q1 = _apply_creation_row(vec, u_flat[..., n_a, :], n_a, m)
-    q2 = _apply_creation_row(vec, u_flat[..., n_a + 1, :], n_a, m)
-    a1 = _apply_creation_row(q1, u_flat[..., n_a + 2, :], n_a + 1, m)
-    a3 = _apply_creation_row(q1, u_flat[..., n_a + 3, :], n_a + 1, m)
-    a2 = _apply_creation_row(q2, u_flat[..., n_a + 3, :], n_a + 1, m)
-    a4 = _apply_creation_row(q2, u_flat[..., n_a + 2, :], n_a + 1, m)
-    return a1, a2, a3, a4
+    q1 = _apply_creation_row(levels[-1], u[..., n_a, :], n_a, m)
+    q2 = _apply_creation_row(levels[-1], u[..., n_a + 1, :], n_a, m)
+    a1 = _apply_creation_row(q1, u[..., n_a + 2, :], n_a + 1, m)
+    a3 = _apply_creation_row(q1, u[..., n_a + 3, :], n_a + 1, m)
+    a2 = _apply_creation_row(q2, u[..., n_a + 3, :], n_a + 1, m)
+    a4 = _apply_creation_row(q2, u[..., n_a + 2, :], n_a + 1, m)
+    return levels, (q1, q2), (a1, a2, a3, a4)
 
 
 def bell_amplitude_arrays(u_entries: np.ndarray, n_a: int) -> tuple[np.ndarray, ...]:
@@ -348,7 +353,7 @@ def bell_amplitude_arrays(u_entries: np.ndarray, n_a: int) -> tuple[np.ndarray, 
     if u.shape[-2:] != (m, m):
         raise ContractViolationError(f"matrix block must be {m}x{m}, got {u.shape[-2:]}")
     batch_shape = u.shape[:-2]
-    amps = _cascade_amplitudes(u.reshape((-1, m, m)), n_a)
+    amps = _cascade(u.reshape((-1, m, m)), n_a)[2]
     return tuple(
         np.ascontiguousarray(np.moveaxis(a, 0, -1)).reshape(batch_shape + a.shape[:1])
         for a in amps
@@ -366,7 +371,7 @@ def bell_probability_parts(u_flat: np.ndarray, n_a: int) -> tuple[np.ndarray, np
     batch (B, M, M). This is the allocation-lean path the optimizer uses;
     :func:`bell_probability_arrays` rearranges it into table layout.
     """
-    a1, a2, a3, a4 = _cascade_amplitudes(u_flat, n_a)
+    a1, a2, a3, a4 = _cascade(u_flat, n_a)[2]
     c = _bosonic_factor_array(n_a + 2, n_a + 4)[:, None]
     p = np.empty((4,) + a1.shape, dtype=np.float64)
     np.multiply(c, _abs2(a1 + a2), out=p[0])
@@ -375,6 +380,64 @@ def bell_probability_parts(u_flat: np.ndarray, n_a: int) -> tuple[np.ndarray, np
     np.multiply(c, _abs2(a3 - a4), out=p[3])
     garbage = np.maximum(1.0 - p.sum(axis=1), 0.0)
     return p, garbage
+
+
+def _pull_creation_row(
+    vec: np.ndarray, row: np.ndarray, level: int, out_bar: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse of :func:`_apply_creation_row` for one matrix (no batch axes).
+
+    Gradients of a real function with respect to complex values are stored as
+    d/dRe + i d/dIm. The scatter-add pulls back to a gather over the same
+    insertion targets: ``(vec_bar, row_bar)`` from the level-``level + 1``
+    gradient ``out_bar``.
+    """
+    gathered = out_bar[_insertion_targets(level, row.shape[-1])]
+    return np.conj(row) @ gathered, gathered @ np.conj(vec)
+
+
+def bell_probability_pullback(u: np.ndarray, n_a: int):
+    """One matrix's outcome probabilities, plus the map back to the matrix.
+
+    Returns ``(p, garbage, pullback)`` with ``p`` of shape (4, K) in the
+    layout of :func:`bell_probability_parts` and ``garbage`` of shape (4,).
+    ``pullback(p_bar, g_bar)`` takes the derivatives of a real function with
+    respect to ``p`` and ``garbage`` and returns its gradient with respect to
+    the (M, M) complex matrix, as d/dRe U + i d/dIm U. The forward keeps every
+    cascade level, so the reverse pass costs about one forward.
+    """
+    m = n_a + 4
+    u = np.asarray(u, dtype=np.complex128)
+    if u.shape != (m, m):
+        raise ContractViolationError(f"matrix must be {m}x{m}, got {u.shape}")
+    levels, (q1, q2), (a1, a2, a3, a4) = _cascade(u, n_a)
+    c = _bosonic_factor_array(n_a + 2, m)
+    sums = (a1 + a2, a1 - a2, a3 + a4, a3 - a4)
+    p = np.stack([c * _abs2(s) for s in sums])
+    leak = 1.0 - p.sum(axis=1)
+    garbage = np.maximum(leak, 0.0)
+
+    def pullback(p_bar: np.ndarray, g_bar: np.ndarray) -> np.ndarray:
+        # garbage = max(1 - sum_y p, 0): clamped inputs pass no gradient.
+        p_bar = p_bar - np.where(leak > 0.0, g_bar, 0.0)[:, None]
+        s_bar = [2.0 * c * p_bar[x] * sums[x] for x in range(4)]
+        a_bar = (s_bar[0] + s_bar[1], s_bar[0] - s_bar[1],
+                 s_bar[2] + s_bar[3], s_bar[2] - s_bar[3])
+        u_bar = np.zeros((m, m), dtype=np.complex128)
+
+        def pull(source, r, level, out_bar):
+            source_bar, row_bar = _pull_creation_row(source, u[r], level, out_bar)
+            u_bar[r] += row_bar
+            return source_bar
+
+        q1_bar = pull(q1, n_a + 2, n_a + 1, a_bar[0]) + pull(q1, n_a + 3, n_a + 1, a_bar[2])
+        q2_bar = pull(q2, n_a + 3, n_a + 1, a_bar[1]) + pull(q2, n_a + 2, n_a + 1, a_bar[3])
+        vec_bar = pull(levels[n_a], n_a, n_a, q1_bar) + pull(levels[n_a], n_a + 1, n_a, q2_bar)
+        for j in range(n_a - 1, -1, -1):
+            vec_bar = pull(levels[j], j, j, vec_bar)
+        return u_bar
+
+    return p, garbage, pullback
 
 
 def bell_probability_arrays(u_entries: np.ndarray, n_a: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,9 @@ A sub-unitary matrix is built as U = exp(i*Hv) @ diag(exp(-lambda_k^2)) @ exp(i*
 from two Hermitian generators and M real numbers, so an unconstrained real
 parameter vector of length 2*M^2 + M always yields a valid circuit. Hermitian
 exponentials go through an eigendecomposition, which keeps the factors unitary
-to machine precision.
+to machine precision; :func:`matrix_entries_pullback` differentiates them
+in reverse through the Daleckii-Krein divided differences of that
+eigendecomposition.
 
 All randomness is driven by numpy's PCG64 generator through explicit seeds;
 callers that need several independent streams split them via
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +83,15 @@ class CircuitParams:
         return cls(vector[:mm], vector[mm : 2 * mm], vector[2 * mm :])
 
 
+@lru_cache(maxsize=None)
+def _upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(m, k=1)``; building it costs more than using it."""
+    iu, ju = np.triu_indices(m, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
 def hermitian_from_storage(storage: np.ndarray, m: int) -> np.ndarray:
     """Hermitian matrix from its real storage; batch axes pass through."""
     storage = np.asarray(storage, dtype=np.float64)
@@ -91,7 +103,7 @@ def hermitian_from_storage(storage: np.ndarray, m: int) -> np.ndarray:
     diag = np.arange(m)
     h[..., diag, diag] = storage[..., :m]
     if m > 1:
-        iu, ju = np.triu_indices(m, k=1)
+        iu, ju = _upper_indices(m)
         off = storage[..., m:].reshape(storage.shape[:-1] + (len(iu), 2))
         upper = off[..., 0] + 1j * off[..., 1]
         h[..., iu, ju] = upper
@@ -103,7 +115,7 @@ def storage_from_hermitian(h: np.ndarray) -> np.ndarray:
     """Inverse of :func:`hermitian_from_storage` (single matrix)."""
     h = np.asarray(h, dtype=np.complex128)
     m = h.shape[-1]
-    iu, ju = np.triu_indices(m, k=1)
+    iu, ju = _upper_indices(m)
     parts = [np.real(np.diagonal(h, axis1=-2, axis2=-1))]
     off = h[..., iu, ju]
     parts.append(np.stack([off.real, off.imag], axis=-1).reshape(h.shape[:-2] + (-1,)))
@@ -130,6 +142,77 @@ def matrix_entries_from_vectors(vectors: np.ndarray, m: int) -> np.ndarray:
     w = expm_i_hermitian(hermitian_from_storage(vectors[..., mm : 2 * mm], m))
     d = np.exp(-vectors[..., 2 * mm :] ** 2)
     return (v * d[..., None, :]) @ w
+
+
+def _expm_i_hermitian_pullback(h: np.ndarray):
+    """exp(i*H) for one Hermitian H, plus the map from its gradient to H's.
+
+    Daleckii-Krein: with H = Q diag(w) Q^dag, the derivative of exp(i*H) is
+    Q (F o (Q^dag dH Q)) Q^dag with divided differences
+    F_jk = (e^{i w_j} - e^{i w_k}) / (w_j - w_k), which tend to i e^{i w_j}
+    as w_k -> w_j. Written as i e^{i (w_j + w_k)/2} sinc((w_j - w_k) / 2pi),
+    the same expression covers equal and nearly equal eigenvalues.
+    """
+    eigvals, eigvecs = np.linalg.eigh(h)
+    phases = np.exp(1j * eigvals)
+    e = (eigvecs * phases) @ np.conj(eigvecs.T)
+    gap = eigvals[:, None] - eigvals[None, :]
+    mean = (eigvals[:, None] + eigvals[None, :]) / 2.0
+    divided = 1j * np.exp(1j * mean) * np.sinc(gap / (2.0 * np.pi))
+
+    def pullback(e_bar: np.ndarray) -> np.ndarray:
+        inner = np.conj(eigvecs.T) @ e_bar @ eigvecs
+        return eigvecs @ (np.conj(divided) * inner) @ np.conj(eigvecs.T)
+
+    return e, pullback
+
+
+def _storage_bar_from_hermitian_bar(h_bar: np.ndarray) -> np.ndarray:
+    """Gradient on the real storage of :func:`hermitian_from_storage`.
+
+    ``h_bar`` holds d/dRe H + i d/dIm H over all M^2 entries; each stored
+    real feeds one diagonal entry or a conjugate pair of off-diagonal ones.
+    """
+    m = h_bar.shape[-1]
+    iu, ju = _upper_indices(m)
+    upper, lower = h_bar[iu, ju], h_bar[ju, iu]
+    off = np.stack([upper.real + lower.real, upper.imag - lower.imag], axis=-1)
+    return np.concatenate([np.diagonal(h_bar).real, off.ravel()])
+
+
+def matrix_entries_pullback(vector: np.ndarray, m: int):
+    """One circuit matrix, plus the map from its gradient to the parameters'.
+
+    Returns ``(u, pullback)`` where ``u`` equals
+    :func:`matrix_entries_from_vectors` of ``vector`` and ``pullback(u_bar)``
+    turns the gradient of a real function with respect to ``u`` (stored as
+    d/dRe U + i d/dIm U) into its gradient over the 2*M^2 + M parameters.
+    """
+    vector = np.asarray(vector, dtype=np.float64)
+    mm = m * m
+    if vector.shape != (2 * mm + m,):
+        raise ContractViolationError(
+            f"parameter vector for m={m} must have length {2 * mm + m}, got {vector.shape}"
+        )
+    v, v_pullback = _expm_i_hermitian_pullback(hermitian_from_storage(vector[:mm], m))
+    w, w_pullback = _expm_i_hermitian_pullback(hermitian_from_storage(vector[mm : 2 * mm], m))
+    lambdas = vector[2 * mm :]
+    d = np.exp(-lambdas**2)
+    vd = v * d
+    u = vd @ w
+
+    def pullback(u_bar: np.ndarray) -> np.ndarray:
+        w_bar = np.conj(vd.T) @ u_bar
+        uw = u_bar @ np.conj(w.T)
+        v_bar = uw * d
+        d_bar = np.einsum("ik,ik->k", np.conj(v), uw).real
+        return np.concatenate([
+            _storage_bar_from_hermitian_bar(v_pullback(v_bar)),
+            _storage_bar_from_hermitian_bar(w_pullback(w_bar)),
+            -2.0 * lambdas * d * d_bar,
+        ])
+
+    return u, pullback
 
 
 def params_to_matrix(params: CircuitParams) -> CircuitMatrix:
@@ -222,6 +305,10 @@ def read_matrix_file(path) -> CircuitMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # json raises a bare ValueError for an integer literal longer than
+        # the interpreter's digit limit (sys.get_int_max_str_digits).
+        raise MatrixFileError(f"{path}: parse error: an integer has too many digits") from exc
     if not isinstance(doc, dict) or "m" not in doc or "entries" not in doc:
         raise MatrixFileError(f"{path}: expected an object with fields 'm' and 'entries'")
     m = doc["m"]
@@ -241,7 +328,11 @@ def read_matrix_file(path) -> CircuitMatrix:
             or not all(isinstance(v, (int, float)) for v in pair)
         ):
             raise MatrixFileError(f"{path}: entry {i} must be a [re, im] pair, got {pair!r}")
-        if not all(math.isfinite(v) for v in pair):
+        try:
+            re_part, im_part = float(pair[0]), float(pair[1])
+        except OverflowError as exc:
+            raise MatrixFileError(f"{path}: entry {i} is too large for a float") from exc
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
             raise MatrixFileError(f"{path}: entry {i} is not finite: {pair!r}")
-        values.append(complex(pair[0], pair[1]))
+        values.append(complex(re_part, im_part))
     return CircuitMatrix(np.array(values, dtype=np.complex128).reshape(m, m))

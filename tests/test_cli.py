@@ -66,6 +66,33 @@ def test_nan_entry_is_a_one_line_error(tmp_path, capsys, command):
     assert "Traceback" not in captured.err
 
 
+def _big_integer_matrix_file(path, digits):
+    write_matrix_file(path, CircuitMatrix(np.eye(4)))
+    text = path.read_text().replace("[1, 0]", "[1" + "0" * digits + ", 0]", 1)
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("command", ["evaluate", "check"])
+def test_integer_too_large_for_a_float_is_a_one_line_error(tmp_path, capsys, command):
+    path = _big_integer_matrix_file(tmp_path / "big.json", 400)
+    assert run_cli([command, "--matrix", path, "--na", 0]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "entry 0 is too large" in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_integer_past_the_digit_limit_is_a_one_line_error(tmp_path, capsys):
+    path = _big_integer_matrix_file(tmp_path / "huge.json", 5000)
+    assert run_cli(["evaluate", "--matrix", path, "--na", 0]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "too many digits" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_check_rejects_super_unitary(tmp_path, capsys):
     path = tmp_path / "double.json"
     write_matrix_file(path, CircuitMatrix(2 * np.eye(4)))

@@ -7,13 +7,19 @@ from bellopt.optimizer import (
     OptimizerConfig,
     _gradient_vector,
     _objective_vectors,
+    _value_and_gradient,
     gradient,
     initial_vector,
     objective,
     optimize,
 )
 from bellopt.transfer import outcome_table
-from bellopt.unitary import CircuitParams, matrix_distance_to_unitary
+from bellopt.unitary import (
+    CircuitParams,
+    matrix_distance_to_unitary,
+    matrix_entries_from_vectors,
+    matrix_entries_pullback,
+)
 
 
 def test_objective_identity_is_one_bit():
@@ -48,12 +54,67 @@ def test_gradient_matches_forward_difference():
         assert g_central[idx] == pytest.approx(forward, rel=1e-4, abs=1e-7)
 
 
+def _gradient_point(n_a: int, kind: str) -> np.ndarray:
+    m = n_a + 4
+    mm = m * m
+    rng = np.random.default_rng(100 + n_a)
+    x = np.zeros(2 * mm + m)
+    if kind != "zero":
+        x[: 2 * mm] = rng.uniform(-0.5, 0.5, 2 * mm)
+    if kind == "lossy":
+        x[2 * mm :] = rng.uniform(0.2, 0.6, m)
+    return x
+
+
+@pytest.mark.parametrize("kind", ["lossy", "lossless", "zero"])
+@pytest.mark.parametrize("n_a", [0, 2, 4])
+def test_reverse_gradient_matches_finite_differences(n_a, kind):
+    x = _gradient_point(n_a, kind)
+    f, g = _value_and_gradient(x, n_a)
+    reference = _gradient_vector(x, n_a, 1e-6)
+    assert f == pytest.approx(float(_objective_vectors(x, n_a)), abs=1e-12)
+    assert np.all(np.isfinite(g))
+    assert np.linalg.norm(g - reference) <= 1e-6 * np.linalg.norm(reference) + 1e-12
+    if kind != "lossy":
+        # d/dlambda exp(-lambda^2) vanishes at 0; both routes give exact zeros.
+        mm = (n_a + 4) ** 2
+        assert np.all(g[2 * mm :] == 0.0)
+        assert np.all(reference[2 * mm :] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["lossy", "lossless", "zero"])
+def test_unitary_pullback_matches_finite_differences(kind):
+    # Pull back a fixed complex cotangent C through U(x): the gradient of
+    # Re sum(conj(C) * U(x)).
+    n_a, m = 2, 6
+    x = _gradient_point(n_a, kind)
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    u, pullback = matrix_entries_pullback(x, m)
+    assert np.array_equal(u, matrix_entries_from_vectors(x, m))
+    g = pullback(c)
+    step = 1e-6
+    points = np.repeat(x[None, :], 2 * x.size, axis=0)
+    idx = np.arange(x.size)
+    points[idx, idx] += step
+    points[x.size + idx, idx] -= step
+    values = np.real(np.conj(c) * matrix_entries_from_vectors(points, m)).sum(axis=(-1, -2))
+    reference = (values[: x.size] - values[x.size :]) / (2.0 * step)
+    assert np.linalg.norm(g - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
+def test_gradient_is_the_reverse_pass():
+    x = _gradient_point(0, "lossy")
+    params = CircuitParams.from_vector(x, 4)
+    assert np.array_equal(gradient(params, 0), _value_and_gradient(x, 0)[1])
+
+
 def test_steepest_descent_direction_decreases_objective():
     rng = np.random.default_rng(7)
     wins = 0
     for _ in range(20):
         x = rng.uniform(-0.8, 0.8, 36)
-        g = _gradient_vector(x, 0, 1e-6)
+        g = _value_and_gradient(x, 0)[1]
         f0 = float(_objective_vectors(x, 0))
         f1 = float(_objective_vectors(x - 1e-4 * g / max(np.linalg.norm(g), 1e-12), 0))
         wins += f1 < f0
@@ -63,8 +124,6 @@ def test_steepest_descent_direction_decreases_objective():
 def test_config_validation():
     with pytest.raises(ContractViolationError):
         OptimizerConfig(n_a=0, restarts=0)
-    with pytest.raises(ContractViolationError):
-        OptimizerConfig(n_a=0, gradient_step=1e-2)
     with pytest.raises(ContractViolationError):
         OptimizerConfig(n_a=0, convergence_tol=0.0)
     with pytest.raises(ContractViolationError):
@@ -108,6 +167,21 @@ def test_objective_trace_is_monotone_at_accepted_steps():
         trace = np.asarray(record.objective_trace)
         assert trace.size >= 1
         assert np.all(np.diff(trace) <= 0.0)
+
+
+def test_restart_records_explain_the_stop():
+    cfg = OptimizerConfig(n_a=0, restarts=4, seed=5, parallelism=1, max_iterations=25)
+    for record in optimize(cfg).per_restart:
+        assert record.stop in ("gradient_tol", "line_search_floor", "iteration_cap")
+        assert record.converged == (record.stop == "gradient_tol")
+        assert (record.iterations == cfg.max_iterations) == (record.stop == "iteration_cap")
+        # One value-and-gradient pass per accepted step, plus the start; every
+        # line-search trial is either the accepted one or a backtrack.
+        assert record.grad_evals == record.iterations + 1
+        assert record.f_evals - record.backtracks == record.iterations
+        assert record.steepest_fallbacks >= 0
+        if record.stop == "gradient_tol":
+            assert record.grad_norm < cfg.convergence_tol
 
 
 def test_best_restart_is_stationary_or_capped():
