@@ -3,13 +3,13 @@
 The objective minimized is the garbage-corrected conditional information of
 the four-way Bell ensemble under the circuit induced by an unconstrained
 parameter vector; maximized mutual information is 2 minus its minimum.
-Descent is BFGS with Armijo backtracking. Gradients come from one reverse
-pass that chains the pullbacks of the entropy (:mod:`bellopt.infometrics`),
-the amplitude cascade (:mod:`bellopt.transfer`) and the ``eigh``
-exponentials (:mod:`bellopt.unitary`), at about the cost of one objective
-evaluation. Central finite differences over a batched cascade stay as the
-test reference. Global search is seeded multi-start with a deterministic
-reduction.
+Descent is BFGS with Armijo backtracking. Every line-search trial runs one
+forward that keeps what the reverse pass reads; the accepted trial's reverse
+pass chains the pullbacks of the entropy (:mod:`bellopt.infometrics`), the
+amplitude cascade (:mod:`bellopt.transfer`) and the ``eigh`` exponentials
+(:mod:`bellopt.unitary`) into the gradient, so no second forward runs there.
+Central finite differences stay as the test reference. Global search is
+seeded multi-start with a deterministic reduction.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from bellopt.errors import ContractViolationError
-from bellopt.fock import outcome_count
 from bellopt.infometrics import (
     H_X_BITS,
     InfoReport,
@@ -41,9 +40,6 @@ from bellopt.unitary import (
     matrix_entries_pullback,
     params_to_matrix,
 )
-
-#: Cap on batch-buffer size (elements) when evaluating many parameter vectors.
-_BATCH_ELEMENT_BUDGET = 4_000_000
 
 #: Armijo sufficient-decrease coefficient and backtracking shrink factor.
 _ARMIJO_C1 = 1e-4
@@ -91,8 +87,8 @@ class RestartRecord:
     ``stop`` is why the descent ended: ``gradient_tol`` (gradient norm below
     the tolerance), ``line_search_floor`` (no step along the quasi-Newton or
     the steepest-descent direction gave a representable decrease) or
-    ``iteration_cap``. ``f_evals`` counts objective-only evaluations (the
-    line-search trials), ``grad_evals`` value-and-gradient passes,
+    ``iteration_cap``. ``f_evals`` counts line-search trials (one forward
+    each), ``grad_evals`` reverse passes (the start and each accepted trial),
     ``backtracks`` rejected line-search trials and ``steepest_fallbacks``
     resets of the inverse Hessian to steepest descent.
     """
@@ -128,22 +124,13 @@ class OptimizationResult:
 
 
 def _objective_vectors(vectors: np.ndarray, n_a: int) -> np.ndarray:
-    """Garbage-corrected conditional information for a batch of parameter vectors."""
+    """Garbage-corrected conditional information for parameter vectors (..., dim)."""
     vectors = np.asarray(vectors, dtype=np.float64)
-    squeeze = vectors.ndim == 1
-    if squeeze:
-        vectors = vectors[None, :]
     m = n_a + 4
-    k = outcome_count(n_a + 2, m)
-    chunk = max(1, _BATCH_ELEMENT_BUDGET // max(k, 1))
-    out = np.empty(vectors.shape[0])
-    for start in range(0, vectors.shape[0], chunk):
-        block = vectors[start : start + chunk]
-        u = matrix_entries_from_vectors(block, m)
-        # Batch-major parts layout; conditional_bits reads the transposed views.
-        p, garbage = bell_probability_parts(u, n_a)
-        out[start : start + chunk] = conditional_bits(p.transpose(2, 1, 0), garbage.T)
-    return out[0] if squeeze else out
+    u = matrix_entries_from_vectors(vectors, m).reshape((-1, m, m))
+    # Batch-major parts layout; conditional_bits reads the transposed views.
+    p, garbage = bell_probability_parts(u, n_a)
+    return conditional_bits(p.transpose(2, 1, 0), garbage.T).reshape(vectors.shape[:-1])
 
 
 def objective(params: CircuitParams, n_a: int) -> float:
@@ -166,12 +153,16 @@ def _gradient_vector(x: np.ndarray, n_a: int, step: float) -> np.ndarray:
     return (values[:dim] - values[dim:]) / (2.0 * step)
 
 
-def _value_and_gradient(x: np.ndarray, n_a: int) -> tuple[float, np.ndarray]:
-    """Objective and its exact gradient at one parameter vector, by one reverse pass."""
+def _value_and_pullback(x: np.ndarray, n_a: int):
+    """Objective at one parameter vector, plus a thunk that returns its gradient.
+
+    The forward keeps every level the reverse pass reads, so the gradient at
+    an accepted line-search trial costs one reverse pass and no second forward.
+    """
     u, u_pullback = matrix_entries_pullback(x, n_a + 4)
     p, garbage, p_pullback = bell_probability_pullback(u, n_a)
     f, p_bar, g_bar = conditional_bits_pullback(p.T, garbage)
-    return f, u_pullback(p_pullback(p_bar.T, g_bar))
+    return f, lambda: u_pullback(p_pullback(p_bar.T, g_bar))
 
 
 def gradient(params: CircuitParams, n_a: int) -> np.ndarray:
@@ -180,7 +171,7 @@ def gradient(params: CircuitParams, n_a: int) -> np.ndarray:
         raise ContractViolationError(
             f"params describe {params.m} modes but n_a={n_a} needs {n_a + 4}"
         )
-    return _value_and_gradient(params.to_vector(), n_a)[1]
+    return _value_and_pullback(params.to_vector(), n_a)[1]()
 
 
 def _bfgs_descent(
@@ -195,7 +186,8 @@ def _bfgs_descent(
     fields other than ``restart`` and ``h_mutual``.
     """
     x = np.array(x0, dtype=np.float64)
-    f, g = _value_and_gradient(x, n_a)
+    f, grad = _value_and_pullback(x, n_a)
+    g = grad()
     trace = [f]
     dim = x.shape[0]
     identity = np.eye(dim)
@@ -205,13 +197,14 @@ def _bfgs_descent(
     stop = "iteration_cap"
     counts = {"f_evals": 0, "grad_evals": 1, "backtracks": 0, "steepest_fallbacks": 0}
 
-    def backtrack(direction: np.ndarray, slope: float) -> tuple[float, float] | None:
+    def backtrack(direction: np.ndarray, slope: float):
+        """(step, f, gradient thunk) of the first Armijo trial, or None."""
         step_size = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            f_try = float(_objective_vectors(x + step_size * direction, n_a))
+            f_try, grad_try = _value_and_pullback(x + step_size * direction, n_a)
             counts["f_evals"] += 1
             if f_try <= f + _ARMIJO_C1 * step_size * slope:
-                return step_size, f_try
+                return step_size, f_try, grad_try
             counts["backtracks"] += 1
             step_size *= _BACKTRACK_SHRINK
         return None
@@ -246,10 +239,10 @@ def _bfgs_descent(
             # No representable decrease: objective is at its numerical floor.
             stop = "line_search_floor"
             break
-        step_size, f_new = accepted
+        step_size, f_new, grad_new = accepted
 
         x_new = x + step_size * direction
-        _, g_new = _value_and_gradient(x_new, n_a)
+        g_new = grad_new()
         counts["grad_evals"] += 1
         s = x_new - x
         y = g_new - g
@@ -258,9 +251,11 @@ def _bfgs_descent(
             if first_update:
                 h_inv = (sy / float(y @ y)) * identity
                 first_update = False
+            # (I - rho s y^T) H (I - rho y s^T) + rho s s^T, in rank-two form.
             rho = 1.0 / sy
-            left = identity - rho * np.outer(s, y)
-            h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
+            hy = h_inv @ y
+            h_inv = (h_inv - rho * (np.outer(hy, s) + np.outer(s, hy))
+                     + (rho * rho * float(y @ hy) + rho) * np.outer(s, s))
         x, f, g = x_new, f_new, g_new
         iterations += 1
         trace.append(f)

@@ -33,6 +33,7 @@ from bellopt.fock import (
     bosonic_factor,
     enumerate_outcomes,
     factorial,
+    outcome_count,
     to_labeling,
 )
 
@@ -301,16 +302,14 @@ def _insertion_targets(n_photons: int, n_modes: int) -> np.ndarray:
 def _apply_creation_row(vec: np.ndarray, row: np.ndarray, level: int, n_modes: int) -> np.ndarray:
     """Multiply an amplitude vector by one transformed creation operator.
 
-    ``vec`` holds coefficients over the level-``level`` outcome basis on its
-    FIRST axis, trailing batch axes pass through; ``row`` holds the M operator
-    coefficients per batch element, batch axes leading. Keeping the outcome
-    axis first makes the scatter-adds row-contiguous for batched evaluations.
+    ``vec`` holds coefficients over the level-``level`` outcome basis and
+    ``row`` the M operator coefficients; the result is over level
+    ``level + 1``. Each mode is one scatter-add over the insertion targets.
     """
     targets = _insertion_targets(level, n_modes)
-    out_dim = len(enumerate_outcomes(level + 1, n_modes))
-    out = np.zeros((out_dim,) + vec.shape[1:], dtype=np.complex128)
+    out = np.zeros(len(enumerate_outcomes(level + 1, n_modes)), dtype=np.complex128)
     for mode in range(n_modes):
-        out[targets[mode]] += row[..., mode] * vec
+        out[targets[mode]] += row[mode] * vec
     return out
 
 
@@ -320,24 +319,24 @@ def _bosonic_factor_array(n_photons: int, n_modes: int) -> np.ndarray:
 
 
 def _cascade(u: np.ndarray, n_a: int):
-    """Every level of the cascade for a matrix (M, M) or a flat batch (B, M, M).
+    """Every level of the cascade for one (M, M) matrix.
 
     Returns ``(levels, (q1, q2), (a1, a2, a3, a4))``: the ancilla levels
     0..n_a, the two one-qubit-photon levels, and the four branch amplitudes
-    of shape (K,) or (K, B). The reverse pass reads the kept levels.
+    of shape (K,). The reverse pass reads the kept levels.
     """
     m = n_a + 4
-    levels = [np.ones((1,) + u.shape[:-2], dtype=np.complex128)]
+    levels = [np.ones(1, dtype=np.complex128)]
     for j in range(n_a):
-        levels.append(_apply_creation_row(levels[-1], u[..., j, :], j, m))
+        levels.append(_apply_creation_row(levels[-1], u[j], j, m))
     # The four row sets share the ancilla prefix and pair one of rows
     # {n_a, n_a+1} with one of rows {n_a+2, n_a+3}.
-    q1 = _apply_creation_row(levels[-1], u[..., n_a, :], n_a, m)
-    q2 = _apply_creation_row(levels[-1], u[..., n_a + 1, :], n_a, m)
-    a1 = _apply_creation_row(q1, u[..., n_a + 2, :], n_a + 1, m)
-    a3 = _apply_creation_row(q1, u[..., n_a + 3, :], n_a + 1, m)
-    a2 = _apply_creation_row(q2, u[..., n_a + 3, :], n_a + 1, m)
-    a4 = _apply_creation_row(q2, u[..., n_a + 2, :], n_a + 1, m)
+    q1 = _apply_creation_row(levels[-1], u[n_a], n_a, m)
+    q2 = _apply_creation_row(levels[-1], u[n_a + 1], n_a, m)
+    a1 = _apply_creation_row(q1, u[n_a + 2], n_a + 1, m)
+    a3 = _apply_creation_row(q1, u[n_a + 3], n_a + 1, m)
+    a2 = _apply_creation_row(q2, u[n_a + 3], n_a + 1, m)
+    a4 = _apply_creation_row(q2, u[n_a + 2], n_a + 1, m)
     return levels, (q1, q2), (a1, a2, a3, a4)
 
 
@@ -346,18 +345,18 @@ def bell_amplitude_arrays(u_entries: np.ndarray, n_a: int) -> tuple[np.ndarray, 
 
     ``u_entries`` may carry leading batch axes: shape (..., M, M) in, four
     arrays of shape (..., K) out, K the size of the outcome alphabet, ordered
-    as in :func:`bellopt.fock.enumerate_outcomes`.
+    as in :func:`bellopt.fock.enumerate_outcomes`. Batches run one matrix at
+    a time.
     """
     u = np.asarray(u_entries, dtype=np.complex128)
     m = n_a + 4
     if u.shape[-2:] != (m, m):
         raise ContractViolationError(f"matrix block must be {m}x{m}, got {u.shape[-2:]}")
-    batch_shape = u.shape[:-2]
-    amps = _cascade(u.reshape((-1, m, m)), n_a)[2]
-    return tuple(
-        np.ascontiguousarray(np.moveaxis(a, 0, -1)).reshape(batch_shape + a.shape[:1])
-        for a in amps
-    )
+    k = outcome_count(n_a + 2, m)
+    amps = np.empty((4,) + u.shape[:-2] + (k,), dtype=np.complex128)
+    for index in np.ndindex(u.shape[:-2]):
+        amps[(slice(None),) + index] = _cascade(u[index], n_a)[2]
+    return tuple(amps)
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -365,27 +364,25 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 
 def bell_probability_parts(u_flat: np.ndarray, n_a: int) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome probabilities in batch-major layout: p (4, K, B), garbage (4, B).
+    """Outcome probabilities of a flat batch: p (4, K, B), garbage (4, B).
 
     The first axis runs over the four Bell inputs; ``u_flat`` must be a flat
-    batch (B, M, M). This is the allocation-lean path the optimizer uses;
+    batch (B, M, M). It is evaluated one matrix at a time; ``p`` and
+    ``garbage`` view batch-major stacks of the per-matrix results.
     :func:`bell_probability_arrays` rearranges it into table layout.
     """
-    a1, a2, a3, a4 = _cascade(u_flat, n_a)[2]
-    c = _bosonic_factor_array(n_a + 2, n_a + 4)[:, None]
-    p = np.empty((4,) + a1.shape, dtype=np.float64)
-    np.multiply(c, _abs2(a1 + a2), out=p[0])
-    np.multiply(c, _abs2(a1 - a2), out=p[1])
-    np.multiply(c, _abs2(a3 + a4), out=p[2])
-    np.multiply(c, _abs2(a3 - a4), out=p[3])
-    garbage = np.maximum(1.0 - p.sum(axis=1), 0.0)
-    return p, garbage
+    # Stacked after the loop, not filled into a buffer allocated before it:
+    # at large K that keeps the heap's peak at the single-matrix forward's.
+    pairs = [bell_probability_pullback(u, n_a)[:2] for u in np.asarray(u_flat)]
+    p = np.stack([pair[0] for pair in pairs])
+    garbage = np.stack([pair[1] for pair in pairs])
+    return p.transpose(1, 2, 0), garbage.T
 
 
 def _pull_creation_row(
     vec: np.ndarray, row: np.ndarray, level: int, out_bar: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse of :func:`_apply_creation_row` for one matrix (no batch axes).
+    """Reverse of :func:`_apply_creation_row`.
 
     Gradients of a real function with respect to complex values are stored as
     d/dRe + i d/dIm. The scatter-add pulls back to a gather over the same
@@ -412,8 +409,13 @@ def bell_probability_pullback(u: np.ndarray, n_a: int):
         raise ContractViolationError(f"matrix must be {m}x{m}, got {u.shape}")
     levels, (q1, q2), (a1, a2, a3, a4) = _cascade(u, n_a)
     c = _bosonic_factor_array(n_a + 2, m)
-    sums = (a1 + a2, a1 - a2, a3 + a4, a3 - a4)
-    p = np.stack([c * _abs2(s) for s in sums])
+    # Keep only the four sums for the reverse pass: the differences overwrite
+    # a1 and a3 and a2, a4 go, which keeps peak memory down at large K.
+    sums = (a1 + a2, np.subtract(a1, a2, out=a1), a3 + a4, np.subtract(a3, a4, out=a3))
+    del a2, a4
+    p = np.empty((4, len(c)))
+    for x, s in enumerate(sums):
+        np.multiply(c, _abs2(s), out=p[x])
     leak = 1.0 - p.sum(axis=1)
     garbage = np.maximum(leak, 0.0)
 

@@ -156,11 +156,11 @@ def _expm_i_hermitian_pullback(h: np.ndarray):
     eigvals, eigvecs = np.linalg.eigh(h)
     phases = np.exp(1j * eigvals)
     e = (eigvecs * phases) @ np.conj(eigvecs.T)
-    gap = eigvals[:, None] - eigvals[None, :]
-    mean = (eigvals[:, None] + eigvals[None, :]) / 2.0
-    divided = 1j * np.exp(1j * mean) * np.sinc(gap / (2.0 * np.pi))
 
     def pullback(e_bar: np.ndarray) -> np.ndarray:
+        gap = eigvals[:, None] - eigvals[None, :]
+        mean = (eigvals[:, None] + eigvals[None, :]) / 2.0
+        divided = 1j * np.exp(1j * mean) * np.sinc(gap / (2.0 * np.pi))
         inner = np.conj(eigvecs.T) @ e_bar @ eigvecs
         return eigvecs @ (np.conj(divided) * inner) @ np.conj(eigvecs.T)
 
@@ -312,7 +312,8 @@ def read_matrix_file(path) -> CircuitMatrix:
     if not isinstance(doc, dict) or "m" not in doc or "entries" not in doc:
         raise MatrixFileError(f"{path}: expected an object with fields 'm' and 'entries'")
     m = doc["m"]
-    if not isinstance(m, int) or m < 1:
+    # bool subclasses int, but JSON true/false are not numbers.
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise MatrixFileError(f"{path}: field 'm' must be a positive integer, got {m!r}")
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != m * m:
@@ -325,7 +326,7 @@ def read_matrix_file(path) -> CircuitMatrix:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
             raise MatrixFileError(f"{path}: entry {i} must be a [re, im] pair, got {pair!r}")
         try:

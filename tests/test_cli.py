@@ -66,6 +66,32 @@ def test_nan_entry_is_a_one_line_error(tmp_path, capsys, command):
     assert "Traceback" not in captured.err
 
 
+def _boolean_matrix_file(path, where):
+    if where == "m":
+        # A 1x1 file, so "m": true would otherwise read as m = 1.
+        path.write_text(json.dumps({"m": True, "entries": [[1, 0]]}))
+    else:
+        write_matrix_file(path, CircuitMatrix(np.eye(4)))
+        doc = json.loads(path.read_text())
+        doc["entries"][0] = [True, False]
+        path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command", ["evaluate", "check"])
+@pytest.mark.parametrize(
+    ("where", "named"), [("m", "field 'm'"), ("entries", "entry 0")], ids=["m", "entries"]
+)
+def test_boolean_is_a_one_line_error(tmp_path, capsys, command, where, named):
+    path = _boolean_matrix_file(tmp_path / "bool.json", where)
+    assert run_cli([command, "--matrix", path, "--na", 0]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert named in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def _big_integer_matrix_file(path, digits):
     write_matrix_file(path, CircuitMatrix(np.eye(4)))
     text = path.read_text().replace("[1, 0]", "[1" + "0" * digits + ", 0]", 1)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from bellopt import optimizer, transfer
 from bellopt.errors import ContractViolationError
 from bellopt.infometrics import mutual_information
 from bellopt.optimizer import (
     OptimizerConfig,
+    _bfgs_descent,
     _gradient_vector,
     _objective_vectors,
-    _value_and_gradient,
+    _value_and_pullback,
     gradient,
     initial_vector,
     objective,
@@ -70,7 +72,8 @@ def _gradient_point(n_a: int, kind: str) -> np.ndarray:
 @pytest.mark.parametrize("n_a", [0, 2, 4])
 def test_reverse_gradient_matches_finite_differences(n_a, kind):
     x = _gradient_point(n_a, kind)
-    f, g = _value_and_gradient(x, n_a)
+    f, grad = _value_and_pullback(x, n_a)
+    g = grad()
     reference = _gradient_vector(x, n_a, 1e-6)
     assert f == pytest.approx(float(_objective_vectors(x, n_a)), abs=1e-12)
     assert np.all(np.isfinite(g))
@@ -106,7 +109,7 @@ def test_unitary_pullback_matches_finite_differences(kind):
 def test_gradient_is_the_reverse_pass():
     x = _gradient_point(0, "lossy")
     params = CircuitParams.from_vector(x, 4)
-    assert np.array_equal(gradient(params, 0), _value_and_gradient(x, 0)[1])
+    assert np.array_equal(gradient(params, 0), _value_and_pullback(x, 0)[1]())
 
 
 def test_steepest_descent_direction_decreases_objective():
@@ -114,7 +117,7 @@ def test_steepest_descent_direction_decreases_objective():
     wins = 0
     for _ in range(20):
         x = rng.uniform(-0.8, 0.8, 36)
-        g = _value_and_gradient(x, 0)[1]
+        g = _value_and_pullback(x, 0)[1]()
         f0 = float(_objective_vectors(x, 0))
         f1 = float(_objective_vectors(x - 1e-4 * g / max(np.linalg.norm(g), 1e-12), 0))
         wins += f1 < f0
@@ -182,6 +185,37 @@ def test_restart_records_explain_the_stop():
         assert record.steepest_fallbacks >= 0
         if record.stop == "gradient_tol":
             assert record.grad_norm < cfg.convergence_tol
+
+
+@pytest.mark.parametrize("n_a", [0, 2])
+def test_descent_runs_one_forward_per_trial(monkeypatch, n_a):
+    calls = {"forward": 0, "reverse": 0}
+    cascade = transfer._cascade
+    probability_pullback = optimizer.bell_probability_pullback
+
+    def counting_cascade(u, n):
+        calls["forward"] += 1
+        return cascade(u, n)
+
+    def counting_pullback(u, n):
+        p, garbage, pullback = probability_pullback(u, n)
+
+        def counted(p_bar, g_bar):
+            calls["reverse"] += 1
+            return pullback(p_bar, g_bar)
+
+        return p, garbage, counted
+
+    monkeypatch.setattr(transfer, "_cascade", counting_cascade)
+    monkeypatch.setattr(optimizer, "bell_probability_pullback", counting_pullback)
+    x0 = initial_vector(n_a, 0.5, np.random.default_rng(3))
+    _, _, stats = _bfgs_descent(x0, n_a, 20, 1e-5)
+    # Backtracks happened, so trials and gradients differ in number.
+    assert stats["backtracks"] > 0
+    # The start plus one forward per trial; the accepted trial's forward
+    # feeds the gradient.
+    assert calls["forward"] == stats["f_evals"] + 1
+    assert calls["reverse"] == stats["grad_evals"]
 
 
 def test_best_restart_is_stationary_or_capped():

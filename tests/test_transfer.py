@@ -11,8 +11,11 @@ from bellopt.transfer import (
     amplitude,
     amplitude_oracle,
     bell_amplitudes,
+    bell_amplitude_arrays,
     bell_input_branches,
     bell_probability_arrays,
+    bell_probability_parts,
+    bell_probability_pullback,
     outcome_probabilities,
     outcome_table,
     permanent,
@@ -203,6 +206,25 @@ def test_bell_probabilities_consistent_with_branch_amplitudes(n_a):
                 amplitude(u, branch_a, state) + sign * amplitude(u, branch_b, state)
             ) / np.sqrt(2.0)
             assert row[x - 1] == pytest.approx(abs(amp) ** 2, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_a", [0, 2, 4])
+def test_batched_entry_points_equal_single_matrices(n_a):
+    m = n_a + 4
+    k = len(enumerate_outcomes(n_a + 2, m))
+    mats = np.stack([random_subunitary(m, 60 + i).entries for i in range(6)])
+    p, garbage = bell_probability_parts(mats, n_a)
+    assert p.shape == (4, k, 6) and garbage.shape == (4, 6)
+    for b, u in enumerate(mats):
+        p_one, g_one, _ = bell_probability_pullback(u, n_a)
+        assert np.array_equal(p[:, :, b], p_one)
+        assert np.array_equal(garbage[:, b], g_one)
+    grid = mats.reshape(2, 3, m, m)
+    amps = bell_amplitude_arrays(grid, n_a)
+    for index in np.ndindex(2, 3):
+        for a, a_one in zip(amps, bell_amplitude_arrays(grid[index], n_a), strict=True):
+            assert a.shape == (2, 3, k) and a_one.shape == (k,)
+            assert np.array_equal(a[index], a_one)
 
 
 def test_bell_probability_arrays_batched_matches_loop():
