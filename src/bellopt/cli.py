@@ -146,11 +146,7 @@ def _optimize_payload(result, keep_traces: bool) -> dict:
             "s_rho": report.s_rho,
             "distance_to_unitary": matrix_distance_to_unitary(result.best_matrix),
             "matrix": _matrix_payload(result.best_matrix),
-            "params": {
-                "v_gen": result.best_params.v_gen.tolist(),
-                "w_gen": result.best_params.w_gen.tolist(),
-                "lambdas": result.best_params.lambdas.tolist(),
-            },
+            "params": {"h_gen": result.best_params.h_gen.tolist()},
         },
         "per_restart": per_restart,
         "wall_time_s": result.wall_time,

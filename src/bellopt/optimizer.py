@@ -6,7 +6,7 @@ parameter vector; maximized mutual information is 2 minus its minimum.
 Descent is BFGS with Armijo backtracking. Every line-search trial runs one
 forward that keeps what the reverse pass reads; the accepted trial's reverse
 pass chains the pullbacks of the entropy (:mod:`bellopt.infometrics`), the
-amplitude cascade (:mod:`bellopt.transfer`) and the ``eigh`` exponentials
+amplitude cascade (:mod:`bellopt.transfer`) and the ``eigh`` exponential
 (:mod:`bellopt.unitary`) into the gradient, so no second forward runs there.
 Central finite differences stay as the test reference. Global search is
 seeded multi-start with a deterministic reduction.
@@ -14,6 +14,7 @@ seeded multi-start with a deterministic reduction.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -74,6 +75,10 @@ class OptimizerConfig:
             )
         if self.parallelism < 1:
             raise ContractViolationError(f"parallelism must be >= 1, got {self.parallelism}")
+        if not (math.isfinite(self.init_scale) and self.init_scale >= 0):
+            raise ContractViolationError(
+                f"init_scale must be finite and >= 0, got {self.init_scale}"
+            )
 
     @property
     def m(self) -> int:
@@ -266,12 +271,9 @@ def _bfgs_descent(
 
 
 def initial_vector(n_a: int, init_scale: float, rng: np.random.Generator) -> np.ndarray:
-    """Random start: generator entries uniform in [-scale, scale], lambdas zero."""
+    """Random start: the M^2 generator reals uniform in [-scale, scale]."""
     m = n_a + 4
-    mm = m * m
-    vec = np.zeros(2 * mm + m)
-    vec[: 2 * mm] = rng.uniform(-init_scale, init_scale, 2 * mm)
-    return vec
+    return rng.uniform(-init_scale, init_scale, m * m)
 
 
 def _run_restart(task) -> tuple[int, RestartRecord, np.ndarray]:

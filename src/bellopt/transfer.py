@@ -33,7 +33,6 @@ from bellopt.fock import (
     bosonic_factor,
     enumerate_outcomes,
     factorial,
-    outcome_count,
     to_labeling,
 )
 
@@ -343,20 +342,15 @@ def _cascade(u: np.ndarray, n_a: int):
 def bell_amplitude_arrays(u_entries: np.ndarray, n_a: int) -> tuple[np.ndarray, ...]:
     """All four branch amplitudes for every outcome at once.
 
-    ``u_entries`` may carry leading batch axes: shape (..., M, M) in, four
-    arrays of shape (..., K) out, K the size of the outcome alphabet, ordered
-    as in :func:`bellopt.fock.enumerate_outcomes`. Batches run one matrix at
-    a time.
+    ``u_entries`` is one (M, M) matrix; the four arrays have shape (K,), K
+    the size of the outcome alphabet, ordered as in
+    :func:`bellopt.fock.enumerate_outcomes`.
     """
     u = np.asarray(u_entries, dtype=np.complex128)
     m = n_a + 4
-    if u.shape[-2:] != (m, m):
-        raise ContractViolationError(f"matrix block must be {m}x{m}, got {u.shape[-2:]}")
-    k = outcome_count(n_a + 2, m)
-    amps = np.empty((4,) + u.shape[:-2] + (k,), dtype=np.complex128)
-    for index in np.ndindex(u.shape[:-2]):
-        amps[(slice(None),) + index] = _cascade(u[index], n_a)[2]
-    return tuple(amps)
+    if u.shape != (m, m):
+        raise ContractViolationError(f"matrix must be {m}x{m}, got {u.shape}")
+    return _cascade(u, n_a)[2]
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -369,7 +363,6 @@ def bell_probability_parts(u_flat: np.ndarray, n_a: int) -> tuple[np.ndarray, np
     The first axis runs over the four Bell inputs; ``u_flat`` must be a flat
     batch (B, M, M). It is evaluated one matrix at a time; ``p`` and
     ``garbage`` view batch-major stacks of the per-matrix results.
-    :func:`bell_probability_arrays` rearranges it into table layout.
     """
     # Stacked after the loop, not filled into a buffer allocated before it:
     # at large K that keeps the heap's peak at the single-matrix forward's.
@@ -442,23 +435,6 @@ def bell_probability_pullback(u: np.ndarray, n_a: int):
     return p, garbage, pullback
 
 
-def bell_probability_arrays(u_entries: np.ndarray, n_a: int) -> tuple[np.ndarray, np.ndarray]:
-    """p(y|x) for the whole alphabet plus garbage mass, batch-friendly.
-
-    Returns ``(p, garbage)`` with shapes (..., K, 4) and (..., 4).
-    """
-    u = np.asarray(u_entries, dtype=np.complex128)
-    m = n_a + 4
-    if u.shape[-2:] != (m, m):
-        raise ContractViolationError(f"matrix block must be {m}x{m}, got {u.shape[-2:]}")
-    batch_shape = u.shape[:-2]
-    p, garbage = bell_probability_parts(u.reshape((-1, m, m)), n_a)
-    k = p.shape[1]
-    p_table = np.ascontiguousarray(p.transpose(2, 1, 0)).reshape(batch_shape + (k, 4))
-    g_table = np.ascontiguousarray(garbage.T).reshape(batch_shape + (4,))
-    return p_table, g_table
-
-
 def outcome_table(u: CircuitMatrix, n_a: int) -> OutcomeTable:
     """Measurement statistics of all four Bell inputs under ``u``.
 
@@ -469,5 +445,5 @@ def outcome_table(u: CircuitMatrix, n_a: int) -> OutcomeTable:
     if u.m != m:
         raise ContractViolationError(f"matrix is {u.m}x{u.m}, expected {m}x{m} for n_a={n_a}")
     u.require_subunitary()
-    p, garbage = bell_probability_arrays(u.entries, n_a)
-    return OutcomeTable(p=p, garbage=garbage, n_a=n_a, m=m)
+    p, garbage = bell_probability_pullback(u.entries, n_a)[:2]
+    return OutcomeTable(p=np.ascontiguousarray(p.T), garbage=garbage, n_a=n_a, m=m)

@@ -1,12 +1,12 @@
 """Circuit-matrix parametrization, random sampling, and matrix file I/O.
 
-A sub-unitary matrix is built as U = exp(i*Hv) @ diag(exp(-lambda_k^2)) @ exp(i*Hw)
-from two Hermitian generators and M real numbers, so an unconstrained real
-parameter vector of length 2*M^2 + M always yields a valid circuit. Hermitian
-exponentials go through an eigendecomposition, which keeps the factors unitary
-to machine precision; :func:`matrix_entries_pullback` differentiates them
-in reverse through the Daleckii-Krein divided differences of that
-eigendecomposition.
+A circuit is searched as U = exp(i*H) for one Hermitian generator H, so an
+unconstrained real parameter vector of length M^2, the dimension of U(M),
+always yields a unitary circuit and every coordinate moves it. The Hermitian
+exponential goes through an eigendecomposition, which keeps U unitary to
+machine precision; :func:`matrix_entries_pullback` differentiates it in
+reverse through the Daleckii-Krein divided differences of that
+eigendecomposition. Matrices read from files may be sub-unitary.
 
 All randomness is driven by numpy's PCG64 generator through explicit seeds;
 callers that need several independent streams split them via
@@ -36,51 +36,40 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Unconstrained real parameters behind one sub-unitary circuit matrix.
+    """Unconstrained real parameters behind one unitary circuit matrix.
 
-    ``v_gen`` and ``w_gen`` hold M^2 reals each (diagonal first, then
-    real/imaginary pairs of the upper triangle, row-major); ``lambdas`` holds
-    the M singular-value exponents. Total real dimension 2*M^2 + M.
+    ``h_gen`` holds the M^2 reals of the Hermitian generator H: its diagonal
+    first, then real/imaginary pairs of the upper triangle, row-major.
     """
 
-    v_gen: np.ndarray
-    w_gen: np.ndarray
-    lambdas: np.ndarray
+    h_gen: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.v_gen, dtype=np.float64)
-        w = np.asarray(self.w_gen, dtype=np.float64)
-        lam = np.asarray(self.lambdas, dtype=np.float64)
-        m = lam.shape[0] if lam.ndim == 1 else 0
-        if lam.ndim != 1 or v.shape != (m * m,) or w.shape != (m * m,):
-            raise ContractViolationError(
-                f"inconsistent parameter shapes: v {v.shape}, w {w.shape}, lambdas {lam.shape}"
-            )
-        object.__setattr__(self, "v_gen", v)
-        object.__setattr__(self, "w_gen", w)
-        object.__setattr__(self, "lambdas", lam)
+        h = np.asarray(self.h_gen, dtype=np.float64)
+        m = math.isqrt(h.shape[0]) if h.ndim == 1 else 0
+        if h.ndim != 1 or m * m != h.shape[0]:
+            raise ContractViolationError(f"generator needs M^2 reals, got shape {h.shape}")
+        object.__setattr__(self, "h_gen", h)
 
     @property
     def m(self) -> int:
-        return self.lambdas.shape[0]
+        return math.isqrt(self.h_gen.shape[0])
 
     @property
     def dim(self) -> int:
-        return 2 * self.m * self.m + self.m
+        return self.h_gen.shape[0]
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.v_gen, self.w_gen, self.lambdas])
+        return self.h_gen.copy()
 
     @classmethod
     def from_vector(cls, vector: np.ndarray, m: int) -> "CircuitParams":
         vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (2 * m * m + m,):
+        if vector.shape != (m * m,):
             raise ContractViolationError(
-                f"parameter vector for m={m} must have length {2 * m * m + m}, "
-                f"got {vector.shape}"
+                f"parameter vector for m={m} must have length {m * m}, got {vector.shape}"
             )
-        mm = m * m
-        return cls(vector[:mm], vector[mm : 2 * mm], vector[2 * mm :])
+        return cls(vector)
 
 
 @lru_cache(maxsize=None)
@@ -130,41 +119,8 @@ def expm_i_hermitian(h: np.ndarray) -> np.ndarray:
 
 
 def matrix_entries_from_vectors(vectors: np.ndarray, m: int) -> np.ndarray:
-    """Circuit matrices for a batch of parameter vectors: (..., 2M^2+M) -> (..., M, M)."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    mm = m * m
-    if vectors.shape[-1] != 2 * mm + m:
-        raise ContractViolationError(
-            f"parameter vectors for m={m} must have length {2 * mm + m}, "
-            f"got {vectors.shape[-1]}"
-        )
-    v = expm_i_hermitian(hermitian_from_storage(vectors[..., :mm], m))
-    w = expm_i_hermitian(hermitian_from_storage(vectors[..., mm : 2 * mm], m))
-    d = np.exp(-vectors[..., 2 * mm :] ** 2)
-    return (v * d[..., None, :]) @ w
-
-
-def _expm_i_hermitian_pullback(h: np.ndarray):
-    """exp(i*H) for one Hermitian H, plus the map from its gradient to H's.
-
-    Daleckii-Krein: with H = Q diag(w) Q^dag, the derivative of exp(i*H) is
-    Q (F o (Q^dag dH Q)) Q^dag with divided differences
-    F_jk = (e^{i w_j} - e^{i w_k}) / (w_j - w_k), which tend to i e^{i w_j}
-    as w_k -> w_j. Written as i e^{i (w_j + w_k)/2} sinc((w_j - w_k) / 2pi),
-    the same expression covers equal and nearly equal eigenvalues.
-    """
-    eigvals, eigvecs = np.linalg.eigh(h)
-    phases = np.exp(1j * eigvals)
-    e = (eigvecs * phases) @ np.conj(eigvecs.T)
-
-    def pullback(e_bar: np.ndarray) -> np.ndarray:
-        gap = eigvals[:, None] - eigvals[None, :]
-        mean = (eigvals[:, None] + eigvals[None, :]) / 2.0
-        divided = 1j * np.exp(1j * mean) * np.sinc(gap / (2.0 * np.pi))
-        inner = np.conj(eigvecs.T) @ e_bar @ eigvecs
-        return eigvecs @ (np.conj(divided) * inner) @ np.conj(eigvecs.T)
-
-    return e, pullback
+    """Circuit matrices for a batch of parameter vectors: (..., M^2) -> (..., M, M)."""
+    return expm_i_hermitian(hermitian_from_storage(vectors, m))
 
 
 def _storage_bar_from_hermitian_bar(h_bar: np.ndarray) -> np.ndarray:
@@ -186,37 +142,35 @@ def matrix_entries_pullback(vector: np.ndarray, m: int):
     Returns ``(u, pullback)`` where ``u`` equals
     :func:`matrix_entries_from_vectors` of ``vector`` and ``pullback(u_bar)``
     turns the gradient of a real function with respect to ``u`` (stored as
-    d/dRe U + i d/dIm U) into its gradient over the 2*M^2 + M parameters.
+    d/dRe U + i d/dIm U) into its gradient over the M^2 parameters.
+
+    Daleckii-Krein: with H = Q diag(w) Q^dag, the derivative of exp(i*H) is
+    Q (F o (Q^dag dH Q)) Q^dag with divided differences
+    F_jk = (e^{i w_j} - e^{i w_k}) / (w_j - w_k), which tend to i e^{i w_j}
+    as w_k -> w_j. Written as i e^{i (w_j + w_k)/2} sinc((w_j - w_k) / 2pi),
+    the same expression covers equal and nearly equal eigenvalues.
     """
     vector = np.asarray(vector, dtype=np.float64)
-    mm = m * m
-    if vector.shape != (2 * mm + m,):
+    if vector.shape != (m * m,):
         raise ContractViolationError(
-            f"parameter vector for m={m} must have length {2 * mm + m}, got {vector.shape}"
+            f"parameter vector for m={m} must have length {m * m}, got {vector.shape}"
         )
-    v, v_pullback = _expm_i_hermitian_pullback(hermitian_from_storage(vector[:mm], m))
-    w, w_pullback = _expm_i_hermitian_pullback(hermitian_from_storage(vector[mm : 2 * mm], m))
-    lambdas = vector[2 * mm :]
-    d = np.exp(-lambdas**2)
-    vd = v * d
-    u = vd @ w
+    eigvals, eigvecs = np.linalg.eigh(hermitian_from_storage(vector, m))
+    u = (eigvecs * np.exp(1j * eigvals)) @ np.conj(eigvecs.T)
 
     def pullback(u_bar: np.ndarray) -> np.ndarray:
-        w_bar = np.conj(vd.T) @ u_bar
-        uw = u_bar @ np.conj(w.T)
-        v_bar = uw * d
-        d_bar = np.einsum("ik,ik->k", np.conj(v), uw).real
-        return np.concatenate([
-            _storage_bar_from_hermitian_bar(v_pullback(v_bar)),
-            _storage_bar_from_hermitian_bar(w_pullback(w_bar)),
-            -2.0 * lambdas * d * d_bar,
-        ])
+        gap = eigvals[:, None] - eigvals[None, :]
+        mean = (eigvals[:, None] + eigvals[None, :]) / 2.0
+        divided = 1j * np.exp(1j * mean) * np.sinc(gap / (2.0 * np.pi))
+        inner = np.conj(eigvecs.T) @ u_bar @ eigvecs
+        h_bar = eigvecs @ (np.conj(divided) * inner) @ np.conj(eigvecs.T)
+        return _storage_bar_from_hermitian_bar(h_bar)
 
     return u, pullback
 
 
 def params_to_matrix(params: CircuitParams) -> CircuitMatrix:
-    """U = exp(i*Hv) @ diag(exp(-lambda^2)) @ exp(i*Hw); sub-unitary by construction."""
+    """U = exp(i*H); unitary by construction."""
     return CircuitMatrix(matrix_entries_from_vectors(params.to_vector(), params.m))
 
 
@@ -300,7 +254,10 @@ def write_matrix_file(path, u: CircuitMatrix) -> None:
 
 def read_matrix_file(path) -> CircuitMatrix:
     """Parse a matrix file written by :func:`write_matrix_file`."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

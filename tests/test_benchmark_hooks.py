@@ -1,14 +1,17 @@
-"""The traced benchmark run wraps bellopt functions by name; check the names resolve.
+"""The traced benchmark run wraps bellopt functions by name and probes them directly.
 
 ``perfbench/layers.py`` replaces each name in ``PATCH_POINTS`` on its module
-with a span wrapper through ``getattr``/``setattr``, so a rename in
-``src/bellopt`` would break ``perfbench/run.py --trace 1`` without failing any
-other test.
+with a span wrapper through ``getattr``/``setattr``, and its probes build
+parameter vectors, circuits and tables through the public functions. A
+rename or a layout change in ``src/bellopt`` would break
+``perfbench/run.py --trace 1`` without failing any other test.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -39,3 +42,15 @@ def test_installed_spans_restore_the_originals():
             assert getattr(modules[m], n) is not original
     for (m, n), original in before.items():
         assert getattr(modules[m], n) is original
+
+
+def test_probe_chain_runs_at_na0(monkeypatch):
+    # The chain the probes run, with each timed call made once.
+    layers = _load_layers()
+    monkeypatch.setattr(layers, "_median_seconds", lambda spans, metric, fn: (fn(), 1.0)[1])
+    rng = np.random.default_rng(1)
+    params = layers.CircuitParams.from_vector(layers.initial_vector(0, 0.5, rng), 4)
+    assert np.isfinite(layers.objective(params, 0))
+    assert layers.gradient(params, 0).shape == (params.dim,)
+    costs = layers._batch_costs_us(layers.Spans(), 0, 1, batched=True)
+    assert costs["batch"] == 2 * params.dim

@@ -6,7 +6,13 @@ import pytest
 
 from bellopt.cli import main
 from bellopt.transfer import CircuitMatrix
-from bellopt.unitary import haar_random_unitary, read_matrix_file, write_matrix_file
+from bellopt.unitary import (
+    CircuitParams,
+    haar_random_unitary,
+    params_to_matrix,
+    read_matrix_file,
+    write_matrix_file,
+)
 
 
 def run_cli(argv):
@@ -110,6 +116,18 @@ def test_integer_too_large_for_a_float_is_a_one_line_error(tmp_path, capsys, com
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "check"])
+def test_non_utf8_file_is_a_one_line_error(tmp_path, capsys, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"m": 1, "entries": [[1, 0]]}'.encode("utf-16-le"))
+    assert run_cli([command, "--matrix", path, "--na", 0]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "UTF-8" in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_integer_past_the_digit_limit_is_a_one_line_error(tmp_path, capsys):
     path = _big_integer_matrix_file(tmp_path / "huge.json", 5000)
     assert run_cli(["evaluate", "--matrix", path, "--na", 0]) == 1
@@ -164,6 +182,20 @@ def test_optimize_usage_error_on_zero_restarts():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(("command", "target"), [("optimize", ["--na", 0]),
+                                                 ("sweep", ["--na-list", "0"])],
+                         ids=["optimize", "sweep"])
+def test_bad_init_scale_is_a_one_line_error(capsys, command, target, scale):
+    assert run_cli([command, *target, "--restarts", 1, "--parallelism", 1,
+                    "--init-scale", scale]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "init_scale" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_sweep_usage_error_on_empty_na_list():
     with pytest.raises(SystemExit) as exc:
         run_cli(["sweep", "--na-list", ",", "--restarts", 1])
@@ -192,6 +224,9 @@ def test_optimize_writes_result_and_prints_value(tmp_path, capsys):
     assert run_cli(["evaluate", "--matrix", matrix_path, "--na", 0]) == 0
     evaluated = capsys.readouterr().out
     assert f"h_mutual = {doc['best']['h_mutual']:.6f}" in evaluated
+    # the stored generator rebuilds the stored matrix
+    params = CircuitParams.from_vector(np.array(doc["best"]["params"]["h_gen"]), 4)
+    assert np.array_equal(params_to_matrix(params).entries, entries.reshape(4, 4))
 
 
 def test_optimize_reproducible_modulo_volatile_fields(tmp_path):

@@ -9,7 +9,7 @@ from bellopt.infometrics import (
     mutual_information,
 )
 from bellopt.transfer import CircuitMatrix, OutcomeTable, outcome_table
-from bellopt.unitary import CircuitParams, haar_random_unitary, params_to_matrix
+from bellopt.unitary import haar_random_unitary
 
 
 def table_from_matrix(p: np.ndarray, garbage=None) -> OutcomeTable:
@@ -70,12 +70,10 @@ def test_holevo_bound_on_random_subunitaries():
     for n_a in (0, 2):
         m = n_a + 4
         for _ in range(60):
-            p = CircuitParams(
-                rng.uniform(-1, 1, m * m),
-                rng.uniform(-1, 1, m * m),
-                rng.uniform(0, 1, m),
-            )
-            table = outcome_table(params_to_matrix(p), n_a)
+            left = haar_random_unitary(m, rng).entries
+            right = haar_random_unitary(m, rng).entries
+            u = CircuitMatrix(left @ np.diag(rng.uniform(0, 1, m)) @ right)
+            table = outcome_table(u, n_a)
             h = mutual_information(table).h_mutual
             assert 0.0 <= h <= 2.0 + 1e-9
 

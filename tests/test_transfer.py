@@ -11,16 +11,14 @@ from bellopt.transfer import (
     amplitude,
     amplitude_oracle,
     bell_amplitudes,
-    bell_amplitude_arrays,
     bell_input_branches,
-    bell_probability_arrays,
     bell_probability_parts,
     bell_probability_pullback,
     outcome_probabilities,
     outcome_table,
     permanent,
 )
-from bellopt.unitary import CircuitParams, haar_random_unitary, params_to_matrix
+from bellopt.unitary import haar_random_unitary
 
 
 def naive_permanent(a: np.ndarray) -> complex:
@@ -35,13 +33,10 @@ def naive_permanent(a: np.ndarray) -> complex:
 
 
 def random_subunitary(m: int, seed: int) -> CircuitMatrix:
+    """Haar unitary, a diagonal of singular values in (0, 1), Haar unitary."""
     rng = np.random.default_rng(seed)
-    params = CircuitParams(
-        rng.uniform(-0.7, 0.7, m * m),
-        rng.uniform(-0.7, 0.7, m * m),
-        rng.uniform(0.0, 0.8, m),
-    )
-    return params_to_matrix(params)
+    left, right = haar_random_unitary(m, rng).entries, haar_random_unitary(m, rng).entries
+    return CircuitMatrix(left @ np.diag(rng.uniform(0.5, 1.0, m)) @ right)
 
 
 def splitter_50_50() -> CircuitMatrix:
@@ -219,18 +214,30 @@ def test_batched_entry_points_equal_single_matrices(n_a):
         p_one, g_one, _ = bell_probability_pullback(u, n_a)
         assert np.array_equal(p[:, :, b], p_one)
         assert np.array_equal(garbage[:, b], g_one)
-    grid = mats.reshape(2, 3, m, m)
-    amps = bell_amplitude_arrays(grid, n_a)
-    for index in np.ndindex(2, 3):
-        for a, a_one in zip(amps, bell_amplitude_arrays(grid[index], n_a), strict=True):
-            assert a.shape == (2, 3, k) and a_one.shape == (k,)
-            assert np.array_equal(a[index], a_one)
 
 
-def test_bell_probability_arrays_batched_matches_loop():
-    mats = np.stack([random_subunitary(6, 40 + i).entries for i in range(5)])
-    p_batch, g_batch = bell_probability_arrays(mats, 2)
-    for i in range(5):
-        p_one, g_one = bell_probability_arrays(mats[i], 2)
-        assert np.allclose(p_batch[i], p_one, atol=1e-14)
-        assert np.allclose(g_batch[i], g_one, atol=1e-14)
+@pytest.mark.parametrize("n_a", [0, 2, 4])
+def test_bell_probability_pullback_matches_finite_differences(n_a):
+    # Pull back fixed cotangents through (p, garbage)(U) on a lossy matrix,
+    # so the garbage term passes gradient: the gradient of
+    # sum(P * p) + sum(G * garbage) over Re U and Im U.
+    m = n_a + 4
+    u = random_subunitary(m, 80 + n_a).entries
+    rng = np.random.default_rng(n_a)
+    p, garbage, pullback = bell_probability_pullback(u, n_a)
+    p_cot, g_cot = rng.standard_normal(p.shape), rng.standard_normal(4)
+    assert np.all(garbage > 0.05)
+    g = pullback(p_cot, g_cot)
+
+    def f(v):
+        p_v, garbage_v, _ = bell_probability_pullback(v, n_a)
+        return float((p_cot * p_v).sum() + (g_cot * garbage_v).sum())
+
+    step = 1e-6
+    reference = np.zeros((m, m), dtype=np.complex128)
+    for index in np.ndindex(m, m):
+        for unit in (1.0, 1j):
+            e = np.zeros((m, m), dtype=np.complex128)
+            e[index] = step * unit
+            reference[index] += unit * (f(u + e) - f(u - e)) / (2.0 * step)
+    assert np.linalg.norm(g - reference) <= 1e-6 * np.linalg.norm(reference)

@@ -27,41 +27,24 @@ from bellopt.unitary import (
 
 
 def random_params(m: int, rng: np.random.Generator) -> CircuitParams:
-    return CircuitParams(
-        rng.uniform(-1, 1, m * m), rng.uniform(-1, 1, m * m), rng.uniform(-1, 1, m)
-    )
+    return CircuitParams(rng.uniform(-1, 1, m * m))
 
 
 def test_zero_params_give_identity():
-    p = CircuitParams(np.zeros(16), np.zeros(16), np.zeros(4))
+    p = CircuitParams(np.zeros(16))
     u = params_to_matrix(p)
     assert np.allclose(u.entries, np.eye(4), atol=1e-14)
 
 
-def test_large_lambda_kills_the_matrix():
-    p = CircuitParams(np.zeros(16), np.zeros(16), 10.0 * np.ones(4))
-    u = params_to_matrix(p)
-    assert np.abs(u.entries).max() <= math.exp(-100) * (1 + 1e-9)
-
-
-def test_singular_values_are_lambda_exponentials():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        p = random_params(5, rng)
-        u = params_to_matrix(p)
-        got = np.sort(np.linalg.svd(u.entries, compute_uv=False))
-        want = np.sort(np.exp(-p.lambdas**2))
-        assert np.allclose(got, want, atol=1e-9)
-
-
 def test_params_always_subunitary():
+    # exp(iH) is unitary: every singular value is 1.
     rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(1000):
         p = random_params(4, rng)
         u = params_to_matrix(p)
-        worst = max(worst, np.linalg.svd(u.entries, compute_uv=False)[0])
-    assert worst <= 1 + 1e-9
+        worst = max(worst, np.abs(np.linalg.svd(u.entries, compute_uv=False) - 1.0).max())
+    assert worst <= 1e-12
 
 
 def test_hermitian_storage_round_trip():
@@ -83,7 +66,7 @@ def test_hermitian_exponentials_are_unitary():
 def test_matrix_entries_from_vectors_batched():
     rng = np.random.default_rng(2)
     m = 4
-    vecs = rng.uniform(-1, 1, (6, 2 * m * m + m))
+    vecs = rng.uniform(-1, 1, (6, m * m))
     batch = matrix_entries_from_vectors(vecs, m)
     for i in range(6):
         single = matrix_entries_from_vectors(vecs[i], m)
@@ -94,12 +77,12 @@ def test_params_vector_round_trip():
     rng = np.random.default_rng(4)
     p = random_params(6, rng)
     q = CircuitParams.from_vector(p.to_vector(), 6)
-    assert np.array_equal(p.v_gen, q.v_gen)
-    assert np.array_equal(p.w_gen, q.w_gen)
-    assert np.array_equal(p.lambdas, q.lambdas)
-    assert p.dim == 2 * 36 + 6
+    assert np.array_equal(p.h_gen, q.h_gen)
+    assert (q.m, q.dim) == (6, 36)
     with pytest.raises(ContractViolationError):
         CircuitParams.from_vector(p.to_vector()[:-1], 6)
+    with pytest.raises(ContractViolationError):
+        CircuitParams(np.zeros(35))
 
 
 def test_haar_single_mode_is_phase():
