@@ -7,6 +7,15 @@ information, optimizes the transformation, and checks the structural
 column conditions that rule out two-mode-bunched measurement outcomes.
 """
 
+import os
+
+# One BLAS thread per process, set before anything imports numpy. Restarts
+# already run in separate processes, and at OpenBLAS's default of two
+# threads the `_pull_creation_row` mat-vecs at N_a = 4 sometimes stall for
+# milliseconds each. A value the user set still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from bellopt.errors import (

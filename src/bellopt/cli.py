@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -194,8 +195,8 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
             "m": table.m,
             "garbage": table.garbage.tolist(),
             "outcomes": [
-                {"occupations": list(state.occupations), "p": probs}
-                for state, probs in zip(table.states, table.p.tolist())
+                {"occupations": occ, "p": probs}
+                for occ, probs in zip(table.occupations.tolist(), table.p.tolist())
             ],
         }
         _write_json(ns.table, payload)
@@ -267,6 +268,8 @@ def cmd_conditions(ns: argparse.Namespace) -> int:
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
+    if not (math.isfinite(ns.tol) and ns.tol > 0):
+        raise ContractViolationError(f"tol must be finite and > 0, got {ns.tol}")
     matrix = read_matrix_file(ns.matrix)
     if matrix.m != ns.na + 4:
         raise ContractViolationError(

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from bellopt.errors import ContractViolationError
-from bellopt.fock import FockState, enumerate_outcomes
+from bellopt.fock import FockState, occupation_array
 from bellopt.infometrics import mutual_information
 from bellopt.transfer import (
     BellAmplitudes,
@@ -137,19 +137,20 @@ def classify_outcome(
 @lru_cache(maxsize=None)
 def _bunched_indices(n_a: int) -> np.ndarray:
     """Alphabet indices of the outcomes with all photons in at most two modes."""
-    states = enumerate_outcomes(n_a + 2, n_a + 4)
-    indices = np.array(
-        [i for i, y in enumerate(states) if sum(1 for k in y.occupations if k) <= 2],
-        dtype=np.intp,
-    )
+    indices = np.flatnonzero((occupation_array(n_a + 2, n_a + 4) > 0).sum(axis=1) <= 2)
     indices.setflags(write=False)
     return indices
 
 
+@lru_cache(maxsize=None)
+def _bunched_states(n_a: int) -> tuple[FockState, ...]:
+    occ = occupation_array(n_a + 2, n_a + 4)[_bunched_indices(n_a)]
+    return tuple(FockState(tuple(row)) for row in occ.tolist())
+
+
 def bunched_two_mode_outcomes(n_a: int) -> list[FockState]:
     """Every outcome with all photons in at most two modes, in alphabet order."""
-    states = enumerate_outcomes(n_a + 2, n_a + 4)
-    return [states[i] for i in _bunched_indices(n_a)]
+    return list(_bunched_states(n_a))
 
 
 def scan_bunched_two_mode(
@@ -164,7 +165,7 @@ def scan_bunched_two_mode(
     amps = np.stack(bell_amplitude_arrays(u.entries, n_a), axis=-1)[_bunched_indices(n_a)]
     return [
         _verdict(y, BellAmplitudes(*row), tol)
-        for y, row in zip(bunched_two_mode_outcomes(n_a), amps.tolist())
+        for y, row in zip(_bunched_states(n_a), amps.tolist())
     ]
 
 

@@ -9,6 +9,11 @@ Conventions fixed here and relied on everywhere else:
 
 Both orders are arbitrary in principle but must be fixed so that amplitudes
 and output files reproduce bit-for-bit.
+
+The alphabet of n photons over M modes is one cached (K, M) integer array,
+:func:`occupation_array`; a state's index in it is its rank in the
+combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3). :class:`FockState`
+objects are built from its rows only where a caller asks for them.
 """
 
 from __future__ import annotations
@@ -16,21 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+
+import numpy as np
 
 from bellopt.errors import ContractViolationError
-
-#: Largest photon count supported by the precomputed factorial table.
-MAX_PHOTONS = 16
-
-_FACTORIALS = tuple(math.factorial(k) for k in range(MAX_PHOTONS + 1))
-
-
-def factorial(n: int) -> int:
-    """Exact integer factorial, table-backed for the supported range."""
-    if n < 0:
-        raise ContractViolationError(f"factorial of negative value {n}")
-    return _FACTORIALS[n] if n <= MAX_PHOTONS else math.factorial(n)
 
 
 @dataclass(frozen=True)
@@ -78,27 +72,33 @@ class ModeLabeling:
         return len(self.labels)
 
 
-def _compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, m - 1):
-            yield (first, *rest)
-
-
 @lru_cache(maxsize=None)
-def enumerate_outcomes(n_photons: int, n_modes: int) -> tuple[FockState, ...]:
-    """All ways to place ``n_photons`` in ``n_modes``, lexicographically descending.
+def occupation_array(n_photons: int, n_modes: int) -> np.ndarray:
+    """Every way to place ``n_photons`` in ``n_modes``, as a read-only (K, M) array.
 
-    The list has binomial(n_photons + n_modes - 1, n_modes - 1) entries and is
-    the full photo-counting outcome alphabet for a fixed photon number.
+    Rows are lexicographically descending; K = :func:`outcome_count`. The
+    dtype is the smallest unsigned one that holds ``n_photons``.
     """
     if n_photons < 0 or n_modes < 1:
         raise ContractViolationError(
             f"need n_photons >= 0 and n_modes >= 1, got ({n_photons}, {n_modes})"
         )
-    return tuple(FockState(occ) for occ in _compositions(n_photons, n_modes))
+    # tails[r]: the placements of r photons in the trailing modes, in order.
+    tails = [np.full((1, 1), r, dtype=np.min_scalar_type(n_photons))
+             for r in range(n_photons + 1)]
+    for _ in range(n_modes - 1):
+        tails = [np.concatenate([np.insert(tails[r - first], 0, first, axis=1)
+                                 for first in range(r, -1, -1)])
+                 for r in range(n_photons + 1)]
+    occ = tails[n_photons]
+    occ.setflags(write=False)
+    return occ
+
+
+@lru_cache(maxsize=None)
+def enumerate_outcomes(n_photons: int, n_modes: int) -> tuple[FockState, ...]:
+    """The rows of :func:`occupation_array` as :class:`FockState` objects."""
+    return tuple(FockState(tuple(row)) for row in occupation_array(n_photons, n_modes).tolist())
 
 
 def outcome_count(n_photons: int, n_modes: int) -> int:
@@ -114,57 +114,9 @@ def to_labeling(state: FockState) -> ModeLabeling:
     return ModeLabeling(tuple(labels))
 
 
-def labeling_to_state(labeling: ModeLabeling, n_modes: int) -> FockState:
-    """Occupation histogram of a labeling; inverse of :func:`to_labeling`."""
-    occ = [0] * n_modes
-    for label in labeling.labels:
-        if label > n_modes:
-            raise ContractViolationError(f"label {label} exceeds mode count {n_modes}")
-        occ[label - 1] += 1
-    return FockState(tuple(occ))
-
-
-def distinct_permutations(labeling: ModeLabeling) -> Iterator[tuple[int, ...]]:
-    """Yield every distinct arrangement of the labeling exactly once.
-
-    Ascending lexicographic order, starting from the canonical labeling;
-    yields N!/prod(n_k!) arrangements in total.
-    """
-    a = list(labeling.labels)
-    n = len(a)
-    if n == 0:
-        yield ()
-        return
-    while True:
-        yield tuple(a)
-        # Standard next-permutation step; terminates at the descending order.
-        i = n - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = reversed(a[i + 1:])
-
-
-def distinct_permutation_count(labeling: ModeLabeling) -> int:
-    """Multinomial count N!/prod(n_k!) of distinct arrangements."""
-    labels = labeling.labels
-    count = factorial(len(labels))
-    start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[start]:
-            count //= factorial(i - start)
-            start = i
-    return count
-
-
 def bosonic_factor(y: FockState) -> float:
     """Combinatoric bosonic weight (1/2) * prod(n_k!) of an outcome."""
     prod = 1
     for occ in y.occupations:
-        prod *= factorial(occ)
+        prod *= math.factorial(occ)
     return 0.5 * prod

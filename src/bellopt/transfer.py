@@ -1,11 +1,12 @@
 """Fock-basis amplitude engine for linear optical mode transformations.
 
 :func:`outcome_table` and :func:`bell_amplitude_arrays` cascade photons
-through precomputed mode-insertion index maps, producing amplitudes for the
-whole outcome alphabet at once. This cascade is the only engine on the
-production path: the optimizer, the information metrics and the conditions
-checker all read it. :func:`bell_probability_pullback` keeps its levels and
-runs it in reverse for the optimizer's gradient.
+through integer mode-insertion maps, built by rank arithmetic rather than a
+per-state lookup, for the whole outcome alphabet at once. This cascade is
+the only engine on the production path: the optimizer, the information
+metrics and the conditions checker all read it.
+:func:`bell_probability_pullback` keeps its levels and runs it in reverse
+for the optimizer's gradient.
 
 Two independent routes to the same amplitudes stay here as test references:
 
@@ -32,7 +33,8 @@ from bellopt.fock import (
     FockState,
     bosonic_factor,
     enumerate_outcomes,
-    factorial,
+    occupation_array,
+    outcome_count,
     to_labeling,
 )
 
@@ -91,8 +93,8 @@ class OutcomeTable:
     """p(y|x) for every outcome y plus the leaked-photon probabilities.
 
     ``p`` has shape (K, 4): row i is (p(y|1), ..., p(y|4)) for the i-th
-    outcome of :attr:`states`; ``garbage[x-1]`` is the probability that input
-    x loses at least one photon to an unmeasured mode.
+    outcome, row i of :attr:`occupations`; ``garbage[x-1]`` is the
+    probability that input x loses at least one photon to an unmeasured mode.
     """
 
     p: np.ndarray
@@ -101,8 +103,13 @@ class OutcomeTable:
     m: int
 
     @property
+    def occupations(self) -> np.ndarray:
+        """The outcome alphabet as a (K, M) array, in the order of ``p``."""
+        return occupation_array(self.n_a + 2, self.m)
+
+    @property
     def states(self) -> tuple[FockState, ...]:
-        """The outcome alphabet, in :func:`bellopt.fock.enumerate_outcomes` order."""
+        """The rows of :attr:`occupations` as :class:`FockState` objects."""
         return enumerate_outcomes(self.n_a + 2, self.m)
 
 
@@ -159,9 +166,9 @@ def amplitude(u: CircuitMatrix, input_state: FockState, output_state: FockState)
     sub = u.entries[np.ix_(rows, cols)] if rows else np.zeros((0, 0), dtype=np.complex128)
     norm = 1.0
     for occ in input_state.occupations:
-        norm *= factorial(occ)
+        norm *= math.factorial(occ)
     for occ in output_state.occupations:
-        norm *= factorial(occ)
+        norm *= math.factorial(occ)
     return permanent(sub) / math.sqrt(norm)
 
 
@@ -191,9 +198,9 @@ def amplitude_oracle(u: CircuitMatrix, input_state: FockState, output_state: Foc
     coeff = poly.get(output_state.occupations, 0.0 + 0.0j)
     scale = 1.0
     for occ in output_state.occupations:
-        scale *= factorial(occ)
+        scale *= math.factorial(occ)
     for occ in input_state.occupations:
-        scale /= factorial(occ)
+        scale /= math.factorial(occ)
     return coeff * math.sqrt(scale)
 
 
@@ -253,7 +260,7 @@ def bell_amplitudes(u: CircuitMatrix, y: FockState, n_a: int) -> BellAmplitudes:
     cols = [label - 1 for label in to_labeling(y).labels]
     denom = 1.0
     for occ in y.occupations:
-        denom *= factorial(occ)
+        denom *= math.factorial(occ)
     values = [
         permanent(u.entries[np.ix_(rows, cols)]) / denom for rows in _bell_row_sets(n_a)
     ]
@@ -278,23 +285,23 @@ def outcome_probabilities(amps: BellAmplitudes, y: FockState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _outcome_index(n_photons: int, n_modes: int) -> dict[tuple[int, ...], int]:
-    return {
-        state.occupations: i for i, state in enumerate(enumerate_outcomes(n_photons, n_modes))
-    }
-
-
-@lru_cache(maxsize=None)
 def _insertion_targets(n_photons: int, n_modes: int) -> np.ndarray:
-    """targets[mode, i]: index at level n+1 of state i at level n plus one photon."""
-    states = enumerate_outcomes(n_photons, n_modes)
-    index_up = _outcome_index(n_photons + 1, n_modes)
-    targets = np.empty((n_modes, len(states)), dtype=np.intp)
-    for i, state in enumerate(states):
-        occ = state.occupations
-        for mode in range(n_modes):
-            key = occ[:mode] + (occ[mode] + 1,) + occ[mode + 1:]
-            targets[mode, i] = index_up[key]
+    """targets[mode, i]: index at level n+1 of state i at level n plus one photon.
+
+    A state's index is its rank sum_{k<M-1} C(r_k + M-2-k, M-1-k), r_k the
+    photons after mode k, and state i has rank i. One more photon in mode j
+    raises r_k by one for every k < j, and each such k adds
+    C(r_k + M-2-k, M-2-k) to the rank.
+    """
+    occ = occupation_array(n_photons, n_modes)
+    after = n_photons - np.cumsum(occ[:, :-1], axis=1, dtype=np.intp)
+    lower = np.arange(n_modes - 2, -1, -1)  # M-2-k for k < M-1
+    binomials = np.array([[math.comb(r + c, c) for c in range(n_modes - 1)]
+                          for r in range(n_photons + 1)], dtype=np.intp)
+    targets = np.empty((n_modes, len(occ)), dtype=np.intp)
+    targets[0] = np.arange(len(occ))
+    np.cumsum(binomials[after, lower], axis=1, out=targets[1:].T)
+    targets[1:] += targets[0]
     return targets
 
 
@@ -306,7 +313,7 @@ def _apply_creation_row(vec: np.ndarray, row: np.ndarray, level: int, n_modes: i
     ``level + 1``. Each mode is one scatter-add over the insertion targets.
     """
     targets = _insertion_targets(level, n_modes)
-    out = np.zeros(len(enumerate_outcomes(level + 1, n_modes)), dtype=np.complex128)
+    out = np.zeros(outcome_count(level + 1, n_modes), dtype=np.complex128)
     for mode in range(n_modes):
         out[targets[mode]] += row[mode] * vec
     return out
@@ -314,7 +321,8 @@ def _apply_creation_row(vec: np.ndarray, row: np.ndarray, level: int, n_modes: i
 
 @lru_cache(maxsize=None)
 def _bosonic_factor_array(n_photons: int, n_modes: int) -> np.ndarray:
-    return np.array([bosonic_factor(s) for s in enumerate_outcomes(n_photons, n_modes)])
+    factorials = np.array([math.factorial(k) for k in range(n_photons + 1)])
+    return 0.5 * factorials[occupation_array(n_photons, n_modes)].prod(axis=1)
 
 
 def _cascade(u: np.ndarray, n_a: int):

@@ -54,3 +54,11 @@ def test_probe_chain_runs_at_na0(monkeypatch):
     assert layers.gradient(params, 0).shape == (params.dim,)
     costs = layers._batch_costs_us(layers.Spans(), 0, 1, batched=True)
     assert costs["batch"] == 2 * params.dim
+
+
+def test_enumerate_probe_builds_the_cached_states():
+    # The fock.enumerate_ms probe times the builder behind the cache.
+    from bellopt.fock import enumerate_outcomes
+
+    assert callable(enumerate_outcomes.__wrapped__)
+    assert enumerate_outcomes.__wrapped__(4, 6) == enumerate_outcomes(4, 6)

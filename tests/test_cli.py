@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +14,27 @@ from bellopt.unitary import (
     haar_random_unitary,
     params_to_matrix,
     read_matrix_file,
+    sample_conditioned_unitary,
     write_matrix_file,
 )
 
 
 def run_cli(argv):
     return main([str(a) for a in argv])
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "preset"])
+def test_import_pins_blas_threads_unless_set(preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update({var: preset for var in BLAS_VARS if preset})
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    script = f"import os, bellopt; print(*(os.environ[v] for v in {BLAS_VARS!r}))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == [preset or "1"] * len(BLAS_VARS)
 
 
 def test_sample_then_check_conditioned(tmp_path, capsys):
@@ -192,6 +210,18 @@ def test_bad_init_scale_is_a_one_line_error(capsys, command, target, scale):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "init_scale" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_bad_check_tol_is_a_one_line_error(tmp_path, capsys, tol):
+    path = tmp_path / "cond.json"
+    write_matrix_file(path, sample_conditioned_unitary(4, 1))
+    assert run_cli(["check", "--matrix", path, "--na", 4, "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "tol" in captured.err
     assert captured.err.count("\n") == 1
     assert captured.out == ""
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,60 @@ from bellopt.fock import (
     FockState,
     ModeLabeling,
     bosonic_factor,
-    distinct_permutation_count,
-    distinct_permutations,
     enumerate_outcomes,
-    labeling_to_state,
     outcome_count,
     to_labeling,
 )
+
+
+# Labeling helpers that only these tests use.
+
+def labeling_to_state(labeling: ModeLabeling, n_modes: int) -> FockState:
+    """Occupation histogram of a labeling; inverse of :func:`to_labeling`."""
+    occ = [0] * n_modes
+    for label in labeling.labels:
+        if label > n_modes:
+            raise ContractViolationError(f"label {label} exceeds mode count {n_modes}")
+        occ[label - 1] += 1
+    return FockState(tuple(occ))
+
+
+def distinct_permutations(labeling: ModeLabeling) -> Iterator[tuple[int, ...]]:
+    """Yield every distinct arrangement of the labeling exactly once.
+
+    Ascending lexicographic order, starting from the canonical labeling;
+    yields N!/prod(n_k!) arrangements in total.
+    """
+    a = list(labeling.labels)
+    n = len(a)
+    if n == 0:
+        yield ()
+        return
+    while True:
+        yield tuple(a)
+        # Standard next-permutation step; terminates at the descending order.
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def distinct_permutation_count(labeling: ModeLabeling) -> int:
+    """Multinomial count N!/prod(n_k!) of distinct arrangements."""
+    labels = labeling.labels
+    count = math.factorial(len(labels))
+    start = 0
+    for i in range(1, len(labels) + 1):
+        if i == len(labels) or labels[i] != labels[start]:
+            count //= math.factorial(i - start)
+            start = i
+    return count
 
 
 def test_enumerate_two_photons_two_modes():

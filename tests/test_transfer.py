@@ -4,10 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from bellopt.conditions import _bunched_indices
 from bellopt.errors import ContractViolationError, InvalidMatrixError, OracleScaleError
-from bellopt.fock import FockState, enumerate_outcomes
+from bellopt.fock import (
+    FockState,
+    bosonic_factor,
+    enumerate_outcomes,
+    occupation_array,
+)
 from bellopt.transfer import (
     CircuitMatrix,
+    _bosonic_factor_array,
+    _insertion_targets,
     amplitude,
     amplitude_oracle,
     bell_amplitudes,
@@ -30,6 +38,33 @@ def naive_permanent(a: np.ndarray) -> complex:
             prod *= a[i, j]
         total += prod
     return total
+
+
+def reference_compositions(n: int, m: int):
+    """Placements of n photons in m modes, descending, one tuple at a time."""
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in reference_compositions(n - first, m - 1):
+            yield (first, *rest)
+
+
+def reference_insertion_targets(states: list, states_up: list) -> np.ndarray:
+    """The insertion maps by a dict lookup of every state plus one photon."""
+    index_up = {occ: i for i, occ in enumerate(states_up)}
+    m = len(states[0])
+    targets = np.empty((m, len(states)), dtype=np.intp)
+    for i, occ in enumerate(states):
+        for mode in range(m):
+            targets[mode, i] = index_up[occ[:mode] + (occ[mode] + 1,) + occ[mode + 1:]]
+    return targets
+
+
+def reference_rank(occ: tuple) -> int:
+    """Rank in the combinatorial number system: sum_{k<M-1} C(r_k + M-2-k, M-1-k)."""
+    m = len(occ)
+    return sum(math.comb(sum(occ[k + 1:]) + m - 2 - k, m - 1 - k) for k in range(m - 1))
 
 
 def random_subunitary(m: int, seed: int) -> CircuitMatrix:
@@ -77,6 +112,25 @@ def test_amplitude_photon_mismatch_is_contract_violation():
         amplitude(u, FockState((1, 0, 0)), FockState((1, 1, 0)))
     with pytest.raises(ContractViolationError):
         amplitude(u, FockState((1, 0)), FockState((1, 0, 0)))
+
+
+@pytest.mark.parametrize("n_a", [0, 2, 4, 6])
+def test_array_tables_match_the_per_state_reference(n_a):
+    m = n_a + 4
+    levels = [list(reference_compositions(level, m)) for level in range(n_a + 3)]
+    for level, states in enumerate(levels):
+        occ = occupation_array(level, m)
+        assert [tuple(row) for row in occ.tolist()] == states
+        assert [s.occupations for s in enumerate_outcomes(level, m)] == states
+        assert [reference_rank(y) for y in states] == list(range(len(states)))
+        if level <= n_a + 1:
+            assert np.array_equal(_insertion_targets(level, m),
+                                  reference_insertion_targets(states, levels[level + 1]))
+    top = enumerate_outcomes(n_a + 2, m)
+    assert _bosonic_factor_array(n_a + 2, m).tolist() == [bosonic_factor(y) for y in top]
+    assert _bunched_indices(n_a).tolist() == [
+        i for i, y in enumerate(top) if sum(1 for k in y.occupations if k) <= 2
+    ]
 
 
 def test_oracle_identity_and_splitter():
