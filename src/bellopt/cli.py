@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -71,11 +72,8 @@ def _matrix_payload(matrix) -> dict:
 
 
 def _print_report(report) -> None:
-    print(f"h_cond = {report.h_cond:.6f}")
-    print(f"h_cond_garbage = {report.h_cond_garbage:.6f}")
-    print(f"h_mutual = {report.h_mutual:.6f}")
-    print(f"h_x = {report.h_x:.6f}")
-    print(f"s_rho = {report.s_rho:.6f}")
+    for name, value in asdict(report).items():
+        print(f"{name} = {value:.6f}")
 
 
 def _heartbeat():
@@ -122,29 +120,13 @@ def _optimizer_config(ns: argparse.Namespace, n_a: int) -> tuple[OptimizerConfig
 def _optimize_payload(result, keep_traces: bool) -> dict:
     per_restart = []
     for record in result.per_restart:
-        row = {
-            "restart": record.restart,
-            "h_mutual": record.h_mutual,
-            "iterations": record.iterations,
-            "stop": record.stop,
-            "converged": record.converged,
-            "grad_norm": record.grad_norm,
-            "f_evals": record.f_evals,
-            "grad_evals": record.grad_evals,
-            "backtracks": record.backtracks,
-            "steepest_fallbacks": record.steepest_fallbacks,
-        }
-        if keep_traces:
-            row["objective_trace"] = record.objective_trace
+        row = {**asdict(record), "converged": record.converged}
+        if not keep_traces:
+            del row["objective_trace"]
         per_restart.append(row)
-    report = result.report
     return {
         "best": {
-            "h_mutual": report.h_mutual,
-            "h_cond": report.h_cond,
-            "h_cond_garbage": report.h_cond_garbage,
-            "h_x": report.h_x,
-            "s_rho": report.s_rho,
+            **asdict(result.report),
             "distance_to_unitary": matrix_distance_to_unitary(result.best_matrix),
             "matrix": _matrix_payload(result.best_matrix),
             "params": {"h_gen": result.best_params.h_gen.tolist()},
@@ -304,6 +286,8 @@ def cmd_check(ns: argparse.Namespace) -> int:
 
 
 def cmd_sample(ns: argparse.Namespace) -> int:
+    if ns.seed < 0:
+        raise ContractViolationError(f"seed must be >= 0, got {ns.seed}")
     if ns.kind == "conditioned":
         matrix = sample_conditioned_unitary(ns.na, ns.seed)
     else:
@@ -436,10 +420,8 @@ def main(argv=None) -> int:
         InvalidMatrixError,
         ContractViolationError,
         UnsupportedConfigurationError,
+        OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,9 +52,6 @@ class Clause(str, Enum):
     NONE = "NONE"
 
 
-CONDITION_LABELS = ("I", "II", "III", "IV")
-
-
 @dataclass
 class OutcomeVerdict:
     """Classification of one outcome against the perfect-measurement clauses."""
@@ -284,6 +281,8 @@ def conditioned_vs_unconditioned_experiment(
     """
     if trials < 1:
         raise ContractViolationError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ContractViolationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     trial_seeds = rng.integers(0, 2**63 - 1, size=2 * trials)
     m = n_a + 4

@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +44,8 @@ from bellopt.unitary import (
     params_to_matrix,
 )
 
+#: A descent stops at ``gradient_tol`` once the gradient norm is below this.
+_GRADIENT_TOL = 1e-5
 #: Armijo sufficient-decrease coefficient and backtracking shrink factor.
 _ARMIJO_C1 = 1e-4
 _BACKTRACK_SHRINK = 0.5
@@ -55,7 +59,6 @@ class OptimizerConfig:
     n_a: int
     restarts: int = 20
     max_iterations: int = 2000
-    convergence_tol: float = 1e-5
     init_scale: float = 0.5
     seed: int = 0
     parallelism: int = 1
@@ -65,10 +68,6 @@ class OptimizerConfig:
             raise ContractViolationError(f"ancilla count must be >= 0, got {self.n_a}")
         if self.restarts < 1:
             raise ContractViolationError(f"restarts must be >= 1, got {self.restarts}")
-        if self.convergence_tol <= 0:
-            raise ContractViolationError(
-                f"convergence_tol must be positive, got {self.convergence_tol}"
-            )
         if self.max_iterations < 1:
             raise ContractViolationError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
@@ -79,6 +78,8 @@ class OptimizerConfig:
             raise ContractViolationError(
                 f"init_scale must be finite and >= 0, got {self.init_scale}"
             )
+        if self.seed < 0:
+            raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def m(self) -> int:
@@ -90,7 +91,7 @@ class RestartRecord:
     """Outcome of one seeded descent and what it spent.
 
     ``stop`` is why the descent ended: ``gradient_tol`` (gradient norm below
-    the tolerance), ``line_search_floor`` (no step along the quasi-Newton or
+    ``_GRADIENT_TOL``), ``line_search_floor`` (no step along the quasi-Newton or
     the steepest-descent direction gave a representable decrease) or
     ``iteration_cap``. ``f_evals`` counts line-search trials (one forward
     each), ``grad_evals`` reverse passes (the start and each accepted trial),
@@ -180,10 +181,7 @@ def gradient(params: CircuitParams, n_a: int) -> np.ndarray:
 
 
 def _bfgs_descent(
-    x0: np.ndarray,
-    n_a: int,
-    max_iterations: int,
-    convergence_tol: float,
+    x0: np.ndarray, n_a: int, max_iterations: int
 ) -> tuple[np.ndarray, float, dict]:
     """Minimize the objective from x0.
 
@@ -194,68 +192,52 @@ def _bfgs_descent(
     f, grad = _value_and_pullback(x, n_a)
     g = grad()
     trace = [f]
-    dim = x.shape[0]
-    identity = np.eye(dim)
-    h_inv = identity.copy()
-    first_update = True
+    h_inv = None  # inverse-Hessian estimate; None means steepest descent
     iterations = 0
     stop = "iteration_cap"
     counts = {"f_evals": 0, "grad_evals": 1, "backtracks": 0, "steepest_fallbacks": 0}
 
-    def backtrack(direction: np.ndarray, slope: float):
-        """(step, f, gradient thunk) of the first Armijo trial, or None."""
+    def backtrack(direction: np.ndarray):
+        """(x, f, gradient thunk) of the first Armijo trial, or None."""
+        slope = float(g @ direction)
+        if slope >= 0.0:
+            return None
         step_size = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            f_try, grad_try = _value_and_pullback(x + step_size * direction, n_a)
+            x_try = x + step_size * direction
+            f_try, grad_try = _value_and_pullback(x_try, n_a)
             counts["f_evals"] += 1
             if f_try <= f + _ARMIJO_C1 * step_size * slope:
-                return step_size, f_try, grad_try
+                return x_try, f_try, grad_try
             counts["backtracks"] += 1
             step_size *= _BACKTRACK_SHRINK
         return None
 
     for _ in range(max_iterations):
-        g_norm = float(np.linalg.norm(g))
-        if g_norm < convergence_tol:
+        if float(np.linalg.norm(g)) < _GRADIENT_TOL:
             stop = "gradient_tol"
             break
-        direction = -h_inv @ g
-        slope = float(g @ direction)
-        steepest = False
-        if slope >= 0.0:
-            # Curvature information went bad; fall back to steepest descent.
-            h_inv = identity.copy()
-            first_update = True
-            direction = -g
-            slope = -g_norm**2
-            steepest = True
+        accepted = backtrack(-g if h_inv is None else -h_inv @ g)
+        if accepted is None and h_inv is not None:
+            # The quasi-Newton direction is uphill or poorly scaled: drop the
+            # curvature information and search along -g instead.
+            h_inv = None
             counts["steepest_fallbacks"] += 1
-
-        accepted = backtrack(direction, slope)
-        if accepted is None and not steepest:
-            # A poorly scaled quasi-Newton direction gets one retry along -g.
-            h_inv = identity.copy()
-            first_update = True
-            direction = -g
-            slope = -g_norm**2
-            counts["steepest_fallbacks"] += 1
-            accepted = backtrack(direction, slope)
+            accepted = backtrack(-g)
         if accepted is None:
             # No representable decrease: objective is at its numerical floor.
             stop = "line_search_floor"
             break
-        step_size, f_new, grad_new = accepted
+        x_new, f_new, grad_new = accepted
 
-        x_new = x + step_size * direction
         g_new = grad_new()
         counts["grad_evals"] += 1
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
-            if first_update:
-                h_inv = (sy / float(y @ y)) * identity
-                first_update = False
+            if h_inv is None:
+                h_inv = (sy / float(y @ y)) * np.eye(x.shape[0])
             # (I - rho s y^T) H (I - rho y s^T) + rho s s^T, in rank-two form.
             rho = 1.0 / sy
             hy = h_inv @ y
@@ -276,13 +258,16 @@ def initial_vector(n_a: int, init_scale: float, rng: np.random.Generator) -> np.
     return rng.uniform(-init_scale, init_scale, m * m)
 
 
-def _run_restart(task) -> tuple[int, RestartRecord, np.ndarray]:
-    index, n_a, seed, restarts, max_iterations, convergence_tol, init_scale = task
-    child = np.random.SeedSequence(seed).spawn(restarts)[index]
-    rng = np.random.default_rng(child)
-    x0 = initial_vector(n_a, init_scale, rng)
-    x, f, stats = _bfgs_descent(x0, n_a, max_iterations, convergence_tol)
-    return index, RestartRecord(restart=index, h_mutual=H_X_BITS - f, **stats), x
+def _run_restart(cfg: OptimizerConfig, index: int) -> tuple[RestartRecord, np.ndarray]:
+    """One seeded descent: restart ``index`` of ``cfg``, and where it ended.
+
+    ``SeedSequence(seed, spawn_key=(index,))`` is the ``index``-th child of
+    ``SeedSequence(seed).spawn(...)``, built without its siblings.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
+    x0 = initial_vector(cfg.n_a, cfg.init_scale, rng)
+    x, f, stats = _bfgs_descent(x0, cfg.n_a, cfg.max_iterations)
+    return RestartRecord(restart=index, h_mutual=H_X_BITS - f, **stats), x
 
 
 def optimize(cfg: OptimizerConfig, progress=None) -> OptimizationResult:
@@ -294,37 +279,16 @@ def optimize(cfg: OptimizerConfig, progress=None) -> OptimizationResult:
     with (record, done_count, total) as restarts finish.
     """
     t0 = time.perf_counter()
-    tasks = [
-        (
-            i,
-            cfg.n_a,
-            cfg.seed,
-            cfg.restarts,
-            cfg.max_iterations,
-            cfg.convergence_tol,
-            cfg.init_scale,
-        )
-        for i in range(cfg.restarts)
-    ]
-    records: list[RestartRecord | None] = [None] * cfg.restarts
-    vectors: list[np.ndarray | None] = [None] * cfg.restarts
-
-    if cfg.parallelism > 1 and cfg.restarts > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.parallelism, cfg.restarts)) as pool:
-            done = 0
-            for index, record, x in pool.map(_run_restart, tasks):
-                records[index] = record
-                vectors[index] = x
-                done += 1
-                if progress is not None:
-                    progress(record, done, cfg.restarts)
-    else:
-        for done, task in enumerate(tasks, start=1):
-            index, record, x = _run_restart(task)
-            records[index] = record
-            vectors[index] = x
+    workers = min(cfg.parallelism, cfg.restarts)
+    records: list[RestartRecord] = []
+    vectors: list[np.ndarray] = []
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for record, x in run(partial(_run_restart, cfg), range(cfg.restarts)):
+            records.append(record)
+            vectors.append(x)
             if progress is not None:
-                progress(record, done, cfg.restarts)
+                progress(record, len(records), cfg.restarts)
 
     best_index = min(range(cfg.restarts), key=lambda i: (-records[i].h_mutual, i))
     best_params = CircuitParams.from_vector(vectors[best_index], cfg.m)
@@ -334,6 +298,6 @@ def optimize(cfg: OptimizerConfig, progress=None) -> OptimizationResult:
         best_params=best_params,
         best_matrix=best_matrix,
         report=report,
-        per_restart=records,  # type: ignore[arg-type]
+        per_restart=records,
         wall_time=time.perf_counter() - t0,
     )

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bellopt.cli import main
+from bellopt.infometrics import InfoReport
+from bellopt.optimizer import RestartRecord
 from bellopt.transfer import CircuitMatrix
 from bellopt.unitary import (
     CircuitParams,
@@ -226,6 +229,22 @@ def test_bad_check_tol_is_a_one_line_error(tmp_path, capsys, tol):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(("command", "args"), [
+    ("optimize", ["--na", 0, "--restarts", 1, "--parallelism", 1]),
+    ("sweep", ["--na-list", "0", "--restarts", 1, "--parallelism", 1]),
+    ("conditions", ["--na", 4, "--trials", 1]),
+    ("sample", ["--na", 4]),
+], ids=["optimize", "sweep", "conditions", "sample"])
+def test_negative_seed_is_a_one_line_error(tmp_path, capsys, command, args):
+    assert run_cli([command, *args, "--seed", -3, "--out", tmp_path / "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "seed" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_usage_error_on_empty_na_list():
     with pytest.raises(SystemExit) as exc:
         run_cli(["sweep", "--na-list", ",", "--restarts", 1])
@@ -257,6 +276,22 @@ def test_optimize_writes_result_and_prints_value(tmp_path, capsys):
     # the stored generator rebuilds the stored matrix
     params = CircuitParams.from_vector(np.array(doc["best"]["params"]["h_gen"]), 4)
     assert np.array_equal(params_to_matrix(params).entries, entries.reshape(4, 4))
+
+
+@pytest.mark.parametrize("keep_traces", [False, True], ids=["plain", "traces"])
+def test_optimize_rows_are_the_restart_records(tmp_path, keep_traces):
+    out = tmp_path / "result.json"
+    flags = ["--keep-traces"] if keep_traces else []
+    assert run_cli(["optimize", "--na", 0, "--restarts", 2, "--iters", 5,
+                    "--parallelism", 1, "--out", out, *flags]) == 0
+    doc = json.loads(out.read_text())
+    names = {f.name for f in fields(RestartRecord)} | {"converged"}
+    if not keep_traces:
+        names.remove("objective_trace")
+    for row in doc["per_restart"]:
+        assert set(row) == names
+        assert row["converged"] == (row["stop"] == "gradient_tol")
+    assert {f.name for f in fields(InfoReport)} <= set(doc["best"])
 
 
 def test_optimize_reproducible_modulo_volatile_fields(tmp_path):
