@@ -27,7 +27,6 @@ from bellopt.errors import (
 )
 from bellopt.fock import FockState, ModeLabeling, enumerate_outcomes
 from bellopt.transfer import (
-    BellAmplitudes,
     CircuitMatrix,
     OutcomeTable,
     amplitude,
@@ -44,7 +43,7 @@ from bellopt.unitary import (
     sample_conditioned_unitary,
     write_matrix_file,
 )
-from bellopt.infometrics import InfoReport, conditional_information, mutual_information
+from bellopt.infometrics import InfoReport, mutual_information
 from bellopt.optimizer import OptimizationResult, OptimizerConfig, optimize
 from bellopt.conditions import (
     check_column_conditions,

@@ -22,6 +22,7 @@ import numpy as np
 
 from bellopt import __version__
 from bellopt.conditions import (
+    Clause,
     check_column_conditions,
     conditioned_vs_unconditioned_experiment,
     scan_bunched_two_mode,
@@ -34,7 +35,7 @@ from bellopt.errors import (
 )
 from bellopt.infometrics import mutual_information
 from bellopt.optimizer import OptimizerConfig, optimize
-from bellopt.transfer import outcome_table
+from bellopt.transfer import CircuitMatrix, outcome_table
 from bellopt.unitary import (
     RNG_ALGORITHM,
     haar_random_unitary,
@@ -154,12 +155,18 @@ def cmd_optimize(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(ns: argparse.Namespace) -> int:
+def _read_matrix(ns: argparse.Namespace) -> CircuitMatrix:
+    """The ``--matrix`` file, checked to have the ``--na`` + 4 modes it needs."""
     matrix = read_matrix_file(ns.matrix)
     if matrix.m != ns.na + 4:
         raise ContractViolationError(
             f"matrix has {matrix.m} modes but na={ns.na} needs {ns.na + 4}"
         )
+    return matrix
+
+
+def cmd_evaluate(ns: argparse.Namespace) -> int:
+    matrix = _read_matrix(ns)
     table = outcome_table(matrix, ns.na)
     report = mutual_information(table)
     _print_report(report)
@@ -252,11 +259,7 @@ def cmd_conditions(ns: argparse.Namespace) -> int:
 def cmd_check(ns: argparse.Namespace) -> int:
     if not (math.isfinite(ns.tol) and ns.tol > 0):
         raise ContractViolationError(f"tol must be finite and > 0, got {ns.tol}")
-    matrix = read_matrix_file(ns.matrix)
-    if matrix.m != ns.na + 4:
-        raise ContractViolationError(
-            f"matrix has {matrix.m} modes but na={ns.na} needs {ns.na + 4}"
-        )
+    matrix = _read_matrix(ns)
     verdicts = check_column_conditions(matrix, ns.na, tol=ns.tol)
     scan = scan_bunched_two_mode(matrix, ns.na, tol=ns.tol)
     failing = []
@@ -272,7 +275,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
     ambiguous = [v for v in scan if v.ambiguous]
     print(
         f"bunched scan: {len(scan)} outcomes, "
-        f"clause A: {sum(1 for v in scan if v.clause.value == 'A')}, "
+        f"clause A: {sum(1 for v in scan if v.clause is Clause.A)}, "
         f"ambiguous: {len(ambiguous)}"
     )
     if failing:
@@ -414,6 +417,8 @@ def main(argv=None) -> int:
         except ContractViolationError as exc:
             parser.error(str(exc))
     try:
+        if getattr(ns, "na", 0) < 0:
+            raise ContractViolationError(f"na must be >= 0, got {ns.na}")
         return ns.func(ns)
     except (
         MatrixFileError,

@@ -8,10 +8,11 @@ zero-pattern conditions on the transformation matrix that force every
 two-mode-bunched outcome into clause A. The column checker, not any
 particular construction, is the source of truth.
 
-The bunched scan reads every outcome's amplitudes from one run of the
-whole-alphabet cascade in :mod:`bellopt.transfer`. :func:`classify_outcome`
-classifies a single outcome from its Ryser permanents instead; it is the
-per-outcome route and the reference the scan is tested against.
+One clause rule, :func:`clause_verdicts`, sorts (n, 4) arrays of branch
+amplitudes: the bunched rows of one run of the whole-alphabet cascade in
+:mod:`bellopt.transfer` (:func:`scan_bunched_two_mode`), or one outcome's
+Ryser permanents (:func:`classify_outcome`, the scan's test reference). The
+column checker reads the zero pattern as boolean masks.
 
 Zero means "below ``tol``" throughout; the threshold is a knob surfaced in
 every report because near-perfect analyzers only need near-zeros.
@@ -19,6 +20,7 @@ every report because near-perfect analyzers only need near-zeros.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -26,18 +28,17 @@ from functools import lru_cache
 import numpy as np
 
 from bellopt.errors import ContractViolationError
-from bellopt.fock import FockState, occupation_array
+from bellopt.fock import FockState, bosonic_factor, occupation_array
 from bellopt.infometrics import mutual_information
 from bellopt.transfer import (
-    BellAmplitudes,
     CircuitMatrix,
-    OutcomeTable,
+    _bosonic_factor_array,
     bell_amplitude_arrays,
     bell_amplitudes,
     outcome_probabilities,
     outcome_table,
 )
-from bellopt.unitary import RNG_ALGORITHM, haar_random_unitary, sample_conditioned_unitary
+from bellopt.unitary import haar_random_unitary, sample_conditioned_unitary
 
 #: Default absolute tolerance below which an amplitude or entry counts as zero.
 DEFAULT_TOL = 1e-10
@@ -58,7 +59,7 @@ class OutcomeVerdict:
 
     outcome: FockState
     clause: Clause
-    amplitudes: BellAmplitudes
+    amplitudes: np.ndarray
     ambiguous: bool
     sign: int | None = None
     prob_mass: float = 0.0
@@ -89,46 +90,54 @@ class ColumnVerdict:
     witness: ColumnWitness
 
 
-def _verdict(y: FockState, amps: BellAmplitudes, tol: float) -> OutcomeVerdict:
-    """Sort one outcome into clause A, B, C, or NONE from its four amplitudes.
+def clause_verdicts(
+    outcomes: Sequence[FockState], amps: np.ndarray, c: np.ndarray, tol: float = DEFAULT_TOL
+) -> list[OutcomeVerdict]:
+    """Sort outcomes into clause A, B, C, or NONE from their branch amplitudes.
 
-    A: all four amplitudes vanish. B: the first pair agrees up to sign (one of
-    p(y|1), p(y|2) is zero, the other positive) while the second pair
-    vanishes. C: the mirror image. NONE with probability mass is an ambiguous
-    outcome.
+    ``amps`` holds one (a1, a2, a3, a4) row per outcome, shape (n, 4), and
+    ``c`` the outcomes' bosonic factors, shape (n,). A: all four amplitudes
+    vanish. B: the first pair agrees up to sign (one of p(y|1), p(y|2) is
+    zero, the other positive) while the second pair vanishes. C: the mirror
+    image. NONE with probability mass is an ambiguous outcome.
     """
-    mags = np.abs(amps.as_array())
-    prob_mass = float(outcome_probabilities(amps, y).sum())
-    clause = Clause.NONE
-    sign: int | None = None
-    if np.all(mags < tol):
-        clause = Clause.A
-    elif mags[0] >= tol and mags[2] < tol and mags[3] < tol:
-        if abs(amps.a1 - amps.a2) < tol:
-            clause, sign = Clause.B, +1
-        elif abs(amps.a1 + amps.a2) < tol:
-            clause, sign = Clause.B, -1
-    elif mags[2] >= tol and mags[0] < tol and mags[1] < tol:
-        if abs(amps.a3 - amps.a4) < tol:
-            clause, sign = Clause.C, +1
-        elif abs(amps.a3 + amps.a4) < tol:
-            clause, sign = Clause.C, -1
-    ambiguous = clause is Clause.NONE and prob_mass >= tol
-    return OutcomeVerdict(
-        outcome=y,
-        clause=clause,
-        amplitudes=amps,
-        ambiguous=ambiguous,
-        sign=sign,
-        prob_mass=prob_mass,
+    zero = np.abs(amps) < tol
+    first = ~zero[:, 0] & zero[:, 2] & zero[:, 3]
+    second = ~zero[:, 2] & zero[:, 0] & zero[:, 1]
+    # Sign of the pair that alone carries amplitude: +1 if its two agree, -1
+    # if they cancel, 0 if neither or if no pair qualifies.
+    a, b = np.where(first[:, None], amps[:, :2], amps[:, 2:]).T
+    sign = (first | second) * np.where(
+        np.abs(a - b) < tol, 1, np.where(np.abs(a + b) < tol, -1, 0)
     )
+    clause = np.select(
+        [zero.all(axis=1), first & (sign != 0), second & (sign != 0)],
+        [Clause.A.value, Clause.B.value, Clause.C.value],
+        Clause.NONE.value,
+    )
+    prob_mass = outcome_probabilities(amps, c).sum(axis=-1)
+    ambiguous = (clause == Clause.NONE.value) & (prob_mass >= tol)
+    return [
+        OutcomeVerdict(
+            outcome=y,
+            clause=Clause(cl),
+            amplitudes=row,
+            ambiguous=amb,
+            sign=s or None,
+            prob_mass=mass,
+        )
+        for y, cl, row, amb, s, mass in zip(
+            outcomes, clause.tolist(), amps, ambiguous.tolist(), sign.tolist(), prob_mass.tolist()
+        )
+    ]
 
 
 def classify_outcome(
     u: CircuitMatrix, y: FockState, n_a: int, tol: float = DEFAULT_TOL
 ) -> OutcomeVerdict:
     """Sort one outcome into clause A, B, C, or NONE via its Ryser permanents."""
-    return _verdict(y, bell_amplitudes(u, y, n_a), tol)
+    amps = bell_amplitudes(u, y, n_a)
+    return clause_verdicts([y], amps[None], np.array([bosonic_factor(y)]), tol)[0]
 
 
 @lru_cache(maxsize=None)
@@ -159,46 +168,15 @@ def scan_bunched_two_mode(
     unable to perform an ideal measurement.
     """
     u.require_subunitary()
-    amps = np.stack(bell_amplitude_arrays(u.entries, n_a), axis=-1)[_bunched_indices(n_a)]
-    return [
-        _verdict(y, BellAmplitudes(*row), tol)
-        for y, row in zip(_bunched_states(n_a), amps.tolist())
-    ]
+    bunched = _bunched_indices(n_a)
+    amps = np.stack([a[bunched] for a in bell_amplitude_arrays(u.entries, n_a)], axis=-1)
+    c = _bosonic_factor_array(n_a + 2, n_a + 4)[bunched]
+    return clause_verdicts(_bunched_states(n_a), amps, c, tol)
 
 
-def _column_conditions(
-    zeros: np.ndarray,
-    n_a: int,
-    col: int,
-    s_set: list[int],
-    q12: bool,
-    q34: bool,
-) -> set[str]:
-    """Conditions I-IV for one column given the zero mask (0-based indexing)."""
-    m = zeros.shape[0]
-    others = [l for l in range(m) if l != col]
-    # The alternation clauses quantify over the ancilla witness set of the
-    # checked column; taking the maximal zero set is optimal because every
-    # clause is monotone in it.
-    cross_s = {l: bool(zeros[s_set, l].any()) if s_set else False for l in others}
-    cross_q12 = {l: bool(zeros[n_a, l] and zeros[n_a + 1, l]) for l in others}
-    cross_q34 = {l: bool(zeros[n_a + 2, l] and zeros[n_a + 3, l]) for l in others}
-
-    satisfied: set[str] = set()
-    if len(s_set) >= 3 and all(cross_s[l] for l in others):
-        satisfied.add("I")
-    if len(s_set) >= 2 and q12 and all(cross_q12[l] or cross_s[l] for l in others):
-        satisfied.add("II")
-    if len(s_set) >= 2 and q34 and all(cross_q34[l] or cross_s[l] for l in others):
-        satisfied.add("III")
-    if (
-        len(s_set) >= 1
-        and q12
-        and q34
-        and all(cross_q12[l] or cross_q34[l] or cross_s[l] for l in others)
-    ):
-        satisfied.add("IV")
-    return satisfied
+def _rows(mask: np.ndarray) -> tuple[int, ...]:
+    """1-based indices of the true entries."""
+    return tuple((np.flatnonzero(mask) + 1).tolist())
 
 
 def check_column_conditions(
@@ -209,26 +187,36 @@ def check_column_conditions(
     if u.m != m:
         raise ContractViolationError(f"matrix is {u.m}x{u.m}, expected {m}x{m}")
     zeros = np.abs(u.entries) < tol
+    anc = zeros[:n_a]
+    q12 = zeros[n_a] & zeros[n_a + 1]
+    q34 = zeros[n_a + 2] & zeros[n_a + 3]
+    n_s = anc.sum(axis=0)
+    # cross_s[col, l]: column l has a zero in a row of col's ancilla witness
+    # set. The alternation clauses quantify over that set; taking the maximal
+    # zero set is optimal because every clause is monotone in it. They range
+    # over l != col, but cross_s[col, col] holds whenever the set is not
+    # empty, which every condition requires, so the diagonal needs no mask.
+    cross_s = anc.T @ anc
+    conditions = {
+        "I": (n_s >= 3) & cross_s.all(axis=1),
+        "II": (n_s >= 2) & q12 & (q12 | cross_s).all(axis=1),
+        "III": (n_s >= 2) & q34 & (q34 | cross_s).all(axis=1),
+        "IV": (n_s >= 1) & q12 & q34 & (q12 | q34 | cross_s).all(axis=1),
+    }
+    qubit = np.arange(m) >= n_a
     verdicts = []
     for col in range(m):
-        s_set = [r for r in range(n_a) if zeros[r, col]]
-        q12 = bool(zeros[n_a, col] and zeros[n_a + 1, col])
-        q34 = bool(zeros[n_a + 2, col] and zeros[n_a + 3, col])
-        satisfied = _column_conditions(zeros, n_a, col, s_set, q12, q34)
-        witness_rows = sorted(set(s_set) | set(range(n_a, n_a + 4)))
+        witness_rows = zeros[:, col] | qubit
         witness = ColumnWitness(
             column=col + 1,
-            ancilla_zero_rows=tuple(r + 1 for r in s_set),
-            qubit_zero_rows=tuple(r + 1 for r in range(n_a, n_a + 4) if zeros[r, col]),
+            ancilla_zero_rows=_rows(anc[:, col]),
+            qubit_zero_rows=_rows(zeros[:, col] & qubit),
             cross_zero_rows={
-                l + 1: tuple(r + 1 for r in witness_rows if zeros[r, l])
-                for l in range(m)
-                if l != col
+                l + 1: _rows(witness_rows & zeros[:, l]) for l in range(m) if l != col
             },
         )
-        verdicts.append(
-            ColumnVerdict(column=col + 1, satisfied=frozenset(satisfied), witness=witness)
-        )
+        satisfied = frozenset(name for name, holds in conditions.items() if holds[col])
+        verdicts.append(ColumnVerdict(column=col + 1, satisfied=satisfied, witness=witness))
     return verdicts
 
 
@@ -259,16 +247,9 @@ class PopulationResult:
 class ExperimentComparison:
     """Conditioned vs unconditioned random-analyzer comparison."""
 
-    n_a: int
     trials: int
-    seed: int
-    rng: str
     conditioned: PopulationResult
     unconditioned: PopulationResult
-
-
-def _bunched_mass(table: OutcomeTable, n_a: int) -> float:
-    return float(table.p[_bunched_indices(n_a)].sum())
 
 
 def conditioned_vs_unconditioned_experiment(
@@ -294,12 +275,9 @@ def conditioned_vs_unconditioned_experiment(
         for u, pop in ((u_cond, conditioned), (u_free, unconditioned)):
             table = outcome_table(u, n_a)
             pop.h_mutual.append(mutual_information(table).h_mutual)
-            pop.bunched_mass.append(_bunched_mass(table, n_a))
+            pop.bunched_mass.append(float(table.p[_bunched_indices(n_a)].sum()))
     return ExperimentComparison(
-        n_a=n_a,
         trials=trials,
-        seed=seed,
-        rng=RNG_ALGORITHM,
         conditioned=conditioned,
         unconditioned=unconditioned,
     )

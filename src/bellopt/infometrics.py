@@ -74,16 +74,13 @@ def conditional_bits_pullback(
     return h, p_bar, g_bar
 
 
-def conditional_information(table: OutcomeTable, include_garbage: bool = False) -> float:
-    """H(X|Y) of an outcome table, optionally charging the garbage outcome too."""
-    garbage = table.garbage if include_garbage else None
-    return float(conditional_bits(table.p, garbage))
-
-
 def mutual_information(table: OutcomeTable) -> InfoReport:
-    """Full information report; h_mutual = 2 - H(X|Y) with garbage accounted."""
-    h_cond = conditional_information(table, include_garbage=False)
-    h_cond_garbage = conditional_information(table, include_garbage=True)
+    """Full information report; h_mutual = 2 - H(X|Y) with garbage accounted.
+
+    ``h_cond`` leaves the garbage outcome out; ``h_cond_garbage`` adds its term.
+    """
+    h_cond = float(conditional_bits(table.p))
+    h_cond_garbage = h_cond + float(conditional_bits(table.garbage[None, :]))
     return InfoReport(
         h_cond=h_cond,
         h_cond_garbage=h_cond_garbage,

@@ -31,7 +31,6 @@ import numpy as np
 from bellopt.errors import ContractViolationError, InvalidMatrixError, OracleScaleError
 from bellopt.fock import (
     FockState,
-    bosonic_factor,
     enumerate_outcomes,
     occupation_array,
     outcome_count,
@@ -73,19 +72,6 @@ class CircuitMatrix:
             raise InvalidMatrixError(
                 f"matrix is not sub-unitary: largest singular value exceeds 1 by {excess:.3e}"
             )
-
-
-@dataclass(frozen=True)
-class BellAmplitudes:
-    """The four outcome amplitudes, one per Bell-branch input row set."""
-
-    a1: complex
-    a2: complex
-    a3: complex
-    a4: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a1, self.a2, self.a3, self.a4], dtype=np.complex128)
 
 
 @dataclass
@@ -248,8 +234,8 @@ def _bell_row_sets(n_a: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def bell_amplitudes(u: CircuitMatrix, y: FockState, n_a: int) -> BellAmplitudes:
-    """The four distinct-permutation sums feeding p(y|x) for one outcome y."""
+def bell_amplitudes(u: CircuitMatrix, y: FockState, n_a: int) -> np.ndarray:
+    """The four distinct-permutation sums feeding p(y|x) for one outcome y, shape (4,)."""
     n, m = n_a + 2, n_a + 4
     if u.m != m:
         raise ContractViolationError(f"matrix is {u.m}x{u.m}, expected {m}x{m}")
@@ -261,23 +247,16 @@ def bell_amplitudes(u: CircuitMatrix, y: FockState, n_a: int) -> BellAmplitudes:
     denom = 1.0
     for occ in y.occupations:
         denom *= math.factorial(occ)
-    values = [
-        permanent(u.entries[np.ix_(rows, cols)]) / denom for rows in _bell_row_sets(n_a)
-    ]
-    return BellAmplitudes(*values)
-
-
-def outcome_probabilities(amps: BellAmplitudes, y: FockState) -> np.ndarray:
-    """(p(y|1), ..., p(y|4)) from one outcome's amplitudes."""
-    c = bosonic_factor(y)
     return np.array(
-        [
-            c * abs(amps.a1 + amps.a2) ** 2,
-            c * abs(amps.a1 - amps.a2) ** 2,
-            c * abs(amps.a3 + amps.a4) ** 2,
-            c * abs(amps.a3 - amps.a4) ** 2,
-        ]
+        [permanent(u.entries[np.ix_(rows, cols)]) / denom for rows in _bell_row_sets(n_a)]
     )
+
+
+def outcome_probabilities(amps: np.ndarray, c) -> np.ndarray:
+    """(p(y|1), ..., p(y|4)) from amplitude rows (..., 4) and their bosonic factors (...)."""
+    a1, a2, a3, a4 = np.moveaxis(np.asarray(amps), -1, 0)
+    sums = np.stack([a1 + a2, a1 - a2, a3 + a4, a3 - a4], axis=-1)
+    return np.asarray(c)[..., None] * _abs2(sums)
 
 
 # ---------------------------------------------------------------------------

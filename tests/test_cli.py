@@ -245,6 +245,20 @@ def test_negative_seed_is_a_one_line_error(tmp_path, capsys, command, args):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["evaluate", "check", "sample"])
+def test_negative_na_is_a_one_line_error(tmp_path, capsys, command):
+    # A 3x3 file matches na = -1, so only the na check can stop the run.
+    path = tmp_path / "m3.json"
+    write_matrix_file(path, haar_random_unitary(3, 1))
+    args = ["--out", tmp_path / "out.json", "--kind", "haar"] if command == "sample" else [
+        "--matrix", path]
+    assert run_cli([command, "--na", -1, *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: na must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_sweep_usage_error_on_empty_na_list():
     with pytest.raises(SystemExit) as exc:
         run_cli(["sweep", "--na-list", ",", "--restarts", 1])

@@ -6,6 +6,7 @@ from bellopt.conditions import (
     bunched_two_mode_outcomes,
     check_column_conditions,
     classify_outcome,
+    clause_verdicts,
     conditioned_vs_unconditioned_experiment,
     scan_bunched_two_mode,
 )
@@ -16,11 +17,11 @@ from bellopt.transfer import CircuitMatrix, outcome_table
 from bellopt.unitary import haar_random_unitary, sample_conditioned_unitary
 
 
-def standard_bsm() -> CircuitMatrix:
-    """The textbook Bell analyzer: 50/50 mixing of rails 1-3 and 2-4."""
+def standard_bsm(pairs=((0, 2), (1, 3))) -> CircuitMatrix:
+    """The textbook Bell analyzer: 50/50 mixing of rails 1-3 and 2-4 by default."""
     r = 1 / np.sqrt(2)
     u = np.zeros((4, 4), dtype=complex)
-    for i, j in ((0, 2), (1, 3)):
+    for i, j in pairs:
         u[i, i] = r
         u[i, j] = r
         u[j, i] = r
@@ -46,8 +47,8 @@ def test_classify_identity_coincidence_is_ambiguous_none():
     verdict = classify_outcome(CircuitMatrix(np.eye(4)), FockState((1, 0, 1, 0)), 0)
     assert verdict.clause is Clause.NONE
     assert verdict.ambiguous
-    assert abs(verdict.amplitudes.a1) > 0.5
-    assert abs(verdict.amplitudes.a2) < 1e-12
+    assert abs(verdict.amplitudes[0]) > 0.5
+    assert abs(verdict.amplitudes[1]) < 1e-12
 
 
 def test_classify_dft_bunched_is_ambiguous_none():
@@ -67,6 +68,56 @@ def test_classify_bsm_coincidences_are_clause_c():
         assert verdict.sign in (+1, -1)
         seen_signs.add(verdict.sign)
     assert seen_signs == {+1, -1}
+
+
+def test_classify_crossed_bsm_coincidences_are_clause_b():
+    # Mixing rails 1-4 and 2-3 instead pins the first Bell pair.
+    bsm = standard_bsm(((0, 3), (1, 2)))
+    seen_signs = set()
+    for occ in ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1)):
+        verdict = classify_outcome(bsm, FockState(occ), 0)
+        assert verdict.clause is Clause.B
+        assert verdict.sign in (+1, -1)
+        seen_signs.add(verdict.sign)
+    assert seen_signs == {+1, -1}
+
+
+@pytest.mark.parametrize(
+    "row, clause, sign, ambiguous",
+    [
+        ((0, 0, 0, 0), Clause.A, None, False),
+        ((0.5, 0.5, 0, 0), Clause.B, +1, False),
+        ((0.5, -0.5, 0, 0), Clause.B, -1, False),
+        ((0, 0, 0.5j, 0.5j), Clause.C, +1, False),
+        ((0, 0, 0.5, -0.5), Clause.C, -1, False),
+        ((0.5, 0, 0.5, 0), Clause.NONE, None, True),
+        ((0.02, 0, 0, 0), Clause.NONE, None, False),
+        ((0.5, 0.5, 1e-3, 0), Clause.NONE, None, True),
+    ],
+    ids=["A", "B+", "B-", "C+", "C-", "NONE-mass", "NONE-below-tol", "B-like-at-tol"],
+)
+def test_clause_rule_on_hand_built_rows(row, clause, sign, ambiguous):
+    tol = 1e-3
+    y = FockState((1, 1, 0, 0))
+    (verdict,) = clause_verdicts([y], np.array([row], dtype=complex), np.array([0.5]), tol)
+    assert verdict.outcome == y
+    assert verdict.clause is clause
+    assert verdict.sign == sign
+    assert verdict.ambiguous is ambiguous
+    assert np.array_equal(verdict.amplitudes, np.array(row, dtype=complex))
+
+
+def test_clause_rule_classifies_rows_independently():
+    rows = np.array([(0, 0, 0, 0), (0.5, -0.5, 0, 0), (0, 0, 0.5, 0.5), (0.5, 0, 0.5, 0)],
+                    dtype=complex)
+    outcomes = [FockState(occ) for occ in ((2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 2, 0, 0))]
+    verdicts = clause_verdicts(outcomes, rows, np.array([1.0, 0.5, 0.5, 1.0]), 1e-10)
+    assert [(v.clause, v.sign) for v in verdicts] == [
+        (Clause.A, None), (Clause.B, -1), (Clause.C, +1), (Clause.NONE, None)
+    ]
+    assert [v.outcome for v in verdicts] == outcomes
+    # The mass is c times the sum of |a1 + a2|^2, |a1 - a2|^2, |a3 + a4|^2, |a3 - a4|^2.
+    assert [v.prob_mass for v in verdicts] == [0.0, 0.5 * 1.0, 0.5 * 1.0, 1.0 * 1.0]
 
 
 def test_classify_bsm_bunched_is_ambiguous():
@@ -127,9 +178,7 @@ def test_scan_matches_permanent_reference(n_a, make):
         assert verdict.clause is ref.clause
         assert verdict.sign == ref.sign
         assert verdict.ambiguous == ref.ambiguous
-        assert np.allclose(
-            verdict.amplitudes.as_array(), ref.amplitudes.as_array(), rtol=0, atol=1e-12
-        )
+        assert np.allclose(verdict.amplitudes, ref.amplitudes, rtol=0, atol=1e-12)
         assert verdict.prob_mass == pytest.approx(ref.prob_mass, rel=0, abs=1e-12)
 
 
@@ -202,6 +251,61 @@ def test_column_conditions_haar_fails():
     u = haar_random_unitary(8, 4)
     verdicts = check_column_conditions(u, 4)
     assert all(not verdict.satisfied for verdict in verdicts)
+
+
+def _reference_column(zeros, n_a, col):
+    """Conditions I-IV and the witness of one column, one other column at a time."""
+    m = zeros.shape[0]
+    others = [l for l in range(m) if l != col]
+    s_set = [r for r in range(n_a) if zeros[r, col]]
+
+    def q12(l):
+        return zeros[n_a, l] and zeros[n_a + 1, l]
+
+    def q34(l):
+        return zeros[n_a + 2, l] and zeros[n_a + 3, l]
+
+    def cross_s(l):
+        return any(zeros[r, l] for r in s_set)
+
+    satisfied = set()
+    if len(s_set) >= 3 and all(cross_s(l) for l in others):
+        satisfied.add("I")
+    if len(s_set) >= 2 and q12(col) and all(q12(l) or cross_s(l) for l in others):
+        satisfied.add("II")
+    if len(s_set) >= 2 and q34(col) and all(q34(l) or cross_s(l) for l in others):
+        satisfied.add("III")
+    if len(s_set) >= 1 and q12(col) and q34(col) and all(
+        q12(l) or q34(l) or cross_s(l) for l in others
+    ):
+        satisfied.add("IV")
+    witness_rows = s_set + list(range(n_a, m))
+    return (
+        satisfied,
+        tuple(r + 1 for r in s_set),
+        tuple(r + 1 for r in range(n_a, m) if zeros[r, col]),
+        {l + 1: tuple(r + 1 for r in witness_rows if zeros[r, l]) for l in others},
+    )
+
+
+def test_column_conditions_match_the_per_column_reference():
+    rng = np.random.default_rng(8)
+    seen = set()
+    for _ in range(150):
+        n_a = int(rng.integers(0, 7))
+        m = n_a + 4
+        entries = haar_random_unitary(m, int(rng.integers(1 << 30))).entries
+        entries[rng.uniform(size=(m, m)) < rng.uniform(0.3, 0.9)] = 0.0
+        zeros = np.abs(entries) < 1e-10
+        for verdict in check_column_conditions(CircuitMatrix(entries), n_a):
+            witness = verdict.witness
+            assert (
+                set(verdict.satisfied), witness.ancilla_zero_rows,
+                witness.qubit_zero_rows, witness.cross_zero_rows,
+            ) == _reference_column(zeros, n_a, verdict.column - 1)
+            seen.add(verdict.satisfied)
+    # Every condition is met on its own somewhere, and none is met somewhere.
+    assert {frozenset(), *(frozenset({c}) for c in ("I", "II", "III", "IV"))} <= seen
 
 
 def test_witness_entries_are_real_zeros():

@@ -5,7 +5,6 @@ from bellopt.infometrics import (
     H_X_BITS,
     S_RHO_BITS,
     conditional_bits,
-    conditional_information,
     mutual_information,
 )
 from bellopt.transfer import CircuitMatrix, OutcomeTable, outcome_table
@@ -19,19 +18,19 @@ def table_from_matrix(p: np.ndarray, garbage=None) -> OutcomeTable:
 
 def test_perfectly_distinguishing_table_is_zero_bits():
     table = table_from_matrix(np.eye(4))
-    assert conditional_information(table) == pytest.approx(0.0)
+    assert mutual_information(table).h_cond == pytest.approx(0.0)
     assert mutual_information(table).h_mutual == pytest.approx(2.0)
 
 
 def test_fully_ambiguous_table_is_two_bits():
     table = table_from_matrix(np.full((3, 4), 1.0 / 3.0))
-    assert conditional_information(table) == pytest.approx(2.0)
+    assert mutual_information(table).h_cond == pytest.approx(2.0)
     assert mutual_information(table).h_mutual == pytest.approx(0.0)
 
 
 def test_identity_analyzer_is_one_bit():
     table = outcome_table(CircuitMatrix(np.eye(4)), 0)
-    assert conditional_information(table) == pytest.approx(1.0)
+    assert mutual_information(table).h_cond == pytest.approx(1.0)
     report = mutual_information(table)
     assert report.h_mutual == pytest.approx(1.0)
     assert report.h_x == H_X_BITS == 2.0
@@ -43,15 +42,16 @@ def test_garbage_term_counts_leakage():
     # One outcome keeping half the mass, half leaked, fully symmetric over x:
     # both terms are maximally ambiguous so H(X|Y) = 2 with garbage on.
     table = table_from_matrix(np.full((1, 4), 0.5), garbage=np.full(4, 0.5))
-    assert conditional_information(table, include_garbage=False) == pytest.approx(2.0 * 0.5)
-    assert conditional_information(table, include_garbage=True) == pytest.approx(2.0)
+    report = mutual_information(table)
+    assert report.h_cond == pytest.approx(2.0 * 0.5)
+    assert report.h_cond_garbage == pytest.approx(2.0)
 
 
 def test_zero_rows_contribute_nothing():
     p = np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.5, 1.0, 1.0, 1.0]])
     table = table_from_matrix(p)
     # first outcome pins x=1; last is a 4-way mix weighted by mass
-    h = conditional_information(table)
+    h = mutual_information(table).h_cond
     mix = np.array([0.5, 1.0, 1.0, 1.0])
     expected = (mix * np.log2(mix.sum() / mix)).sum() / 4.0
     assert h == pytest.approx(expected)
@@ -60,8 +60,9 @@ def test_zero_rows_contribute_nothing():
 def test_garbage_flag_is_noop_for_unitary():
     u = haar_random_unitary(6, 31)
     table = outcome_table(u, 2)
-    on = conditional_information(table, include_garbage=True)
-    off = conditional_information(table, include_garbage=False)
+    report = mutual_information(table)
+    on = report.h_cond_garbage
+    off = report.h_cond
     assert abs(on - off) < 1e-9
 
 
