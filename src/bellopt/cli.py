@@ -1,10 +1,12 @@
 """Command-line experiment runner with seeded, reproducible, file-backed runs.
 
 Every result file embeds a manifest echoing the command, configuration, seed,
-code version, and RNG algorithm; re-running the recorded argv reproduces the
-file byte-for-byte apart from the volatile run metadata (timestamp, wall
-time). Human-facing values go to standard output with 6 decimals; full
-precision lives in the files; progress heartbeats go to standard error.
+code version, and RNG algorithm. The manifest is derived from the parsed
+namespace (command, seed and the argv echo), so re-running the recorded argv
+reproduces the file byte-for-byte apart from the volatile run metadata
+(timestamp, wall time). Human-facing values go to standard output with 6
+decimals; full precision lives in the files; progress heartbeats go to
+standard error.
 """
 
 from __future__ import annotations
@@ -46,23 +48,29 @@ from bellopt.unitary import (
 )
 
 
-def _manifest(command: str, config: dict, seed, inputs: list[str], outputs: list[str],
-              argv: list[str]) -> dict:
+def _manifest(ns: argparse.Namespace, config: dict, inputs: list[str],
+              outputs: list[str]) -> dict:
     return {
-        "command": command,
+        "command": ns.command,
         "config": config,
-        "seed": seed,
+        "seed": getattr(ns, "seed", None),
         "version": __version__,
         "rng": RNG_ALGORITHM,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "inputs": inputs,
         "outputs": outputs,
-        "argv": argv,
+        "argv": _argv_echo(ns),
     }
 
 
 def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path, manifest: dict, header: str, rows) -> None:
+    """CSV whose first line is the manifest as a ``# manifest:`` comment."""
+    lines = [f"# manifest: {json.dumps(manifest, sort_keys=True)}", header, *rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _matrix_payload(matrix) -> dict:
@@ -107,14 +115,8 @@ def _optimizer_config(ns: argparse.Namespace, n_a: int) -> tuple[OptimizerConfig
         max_iterations=ns.iters,
         seed=ns.seed,
         parallelism=ns.parallelism,
-        init_scale=ns.init_scale,
     )
-    echo = {
-        "restarts": ns.restarts,
-        "iters": ns.iters,
-        "init_scale": ns.init_scale,
-        "parallelism": ns.parallelism,
-    }
+    echo = {"restarts": ns.restarts, "iters": ns.iters, "parallelism": ns.parallelism}
     return cfg, echo
 
 
@@ -143,14 +145,7 @@ def cmd_optimize(ns: argparse.Namespace) -> int:
     print(f"{result.report.h_mutual:.6f}")
     if ns.out:
         payload = _optimize_payload(result, ns.keep_traces)
-        payload["manifest"] = _manifest(
-            "optimize",
-            {"na": ns.na, **echo},
-            ns.seed,
-            [],
-            [str(ns.out)],
-            _argv_echo(ns, "optimize"),
-        )
+        payload["manifest"] = _manifest(ns, {"na": ns.na, **echo}, [], [str(ns.out)])
         _write_json(ns.out, payload)
     return 0
 
@@ -172,14 +167,8 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     _print_report(report)
     if ns.table:
         payload = {
-            "manifest": _manifest(
-                "evaluate",
-                {"na": ns.na, "matrix": str(ns.matrix)},
-                None,
-                [str(ns.matrix)],
-                [str(ns.table)],
-                _argv_echo(ns, "evaluate"),
-            ),
+            "manifest": _manifest(ns, {"na": ns.na, "matrix": str(ns.matrix)},
+                                  [str(ns.matrix)], [str(ns.table)]),
             "na": table.n_a,
             "m": table.m,
             "garbage": table.garbage.tolist(),
@@ -201,58 +190,26 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         rows.append((na, result.report.h_mutual))
         print(f"{na} {result.report.h_mutual:.6f}")
     if ns.out:
-        manifest = _manifest(
-            "sweep",
-            {"na_list": list(na_values), **echo},
-            ns.seed,
-            [],
-            [str(ns.out)],
-            _argv_echo(ns, "sweep"),
-        )
-        lines = [f"# manifest: {json.dumps(manifest, sort_keys=True)}", "na,h_mutual"]
-        lines.extend(f"{na},{h:.17g}" for na, h in rows)
-        Path(ns.out).write_text("\n".join(lines) + "\n")
+        manifest = _manifest(ns, {"na_list": list(na_values), **echo}, [], [str(ns.out)])
+        _write_csv(ns.out, manifest, "na,h_mutual", (f"{na},{h:.17g}" for na, h in rows))
     return 0
 
 
 def cmd_conditions(ns: argparse.Namespace) -> int:
     comparison = conditioned_vs_unconditioned_experiment(ns.na, ns.trials, ns.seed)
-    manifest = _manifest(
-        "conditions",
-        {"na": ns.na, "trials": ns.trials},
-        ns.seed,
-        [],
-        [f"{ns.out}.csv", f"{ns.out}.json"],
-        _argv_echo(ns, "conditions"),
-    )
-    lines = [
-        f"# manifest: {json.dumps(manifest, sort_keys=True)}",
-        "population,trial,h_mutual,bunched_mass",
-    ]
-    for pop in (comparison.conditioned, comparison.unconditioned):
-        for t, (h, mass) in enumerate(zip(pop.h_mutual, pop.bunched_mass)):
-            lines.append(f"{pop.label},{t},{h:.17g},{mass:.17g}")
-    Path(f"{ns.out}.csv").write_text("\n".join(lines) + "\n")
-    _write_json(
-        f"{ns.out}.json",
-        {
-            "manifest": manifest,
-            "summary": {
-                "conditioned": comparison.conditioned.summary(),
-                "unconditioned": comparison.unconditioned.summary(),
-            },
-        },
-    )
-    cond = comparison.conditioned.summary()
-    free = comparison.unconditioned.summary()
-    print(
-        f"conditioned: mean h={cond['h_mutual_mean']:.6f} max bunched mass="
-        f"{cond['bunched_mass_max']:.3e}"
-    )
-    print(
-        f"unconditioned: mean h={free['h_mutual_mean']:.6f} max bunched mass="
-        f"{free['bunched_mass_max']:.3e}"
-    )
+    manifest = _manifest(ns, {"na": ns.na, "trials": ns.trials}, [],
+                         [f"{ns.out}.csv", f"{ns.out}.json"])
+    populations = (comparison.conditioned, comparison.unconditioned)
+    _write_csv(f"{ns.out}.csv", manifest, "population,trial,h_mutual,bunched_mass", (
+        f"{pop.label},{t},{h:.17g},{mass:.17g}"
+        for pop in populations
+        for t, (h, mass) in enumerate(zip(pop.h_mutual, pop.bunched_mass))
+    ))
+    summary = {pop.label: pop.summary() for pop in populations}
+    _write_json(f"{ns.out}.json", {"manifest": manifest, "summary": summary})
+    for label, stats in summary.items():
+        print(f"{label}: mean h={stats['h_mutual_mean']:.6f} max bunched mass="
+              f"{stats['bunched_mass_max']:.3e}")
     return 0
 
 
@@ -320,9 +277,9 @@ def _parse_na_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _argv_echo(ns: argparse.Namespace, command: str) -> list[str]:
+def _argv_echo(ns: argparse.Namespace) -> list[str]:
     """Canonical argv that reproduces this run."""
-    argv = [command]
+    argv = [ns.command]
     skip = {"func", "command"}
     for key in sorted(vars(ns)):
         if key in skip:
@@ -349,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags.add_argument("--restarts", type=int, default=20)
     run_flags.add_argument("--seed", type=int, default=0)
     run_flags.add_argument("--iters", type=int, default=2000, help="iteration cap per restart")
-    run_flags.add_argument("--init-scale", type=float, default=0.5)
     run_flags.add_argument("--parallelism", type=int, default=0,
                            help="worker processes (0 = every CPU this process may use)")
 
@@ -400,22 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command in ("optimize", "sweep"):
-        if ns.restarts < 1:
-            parser.error("--restarts must be >= 1")
-        if ns.iters < 1:
-            parser.error("--iters must be >= 1")
-        if ns.parallelism < 0:
-            parser.error("--parallelism must be >= 0")
-        if ns.parallelism == 0:
-            ns.parallelism = _usable_cpus()
-    if ns.command == "sweep":
-        try:
-            _parse_na_list(ns.na_list)
-        except ContractViolationError as exc:
-            parser.error(str(exc))
+    ns = build_parser().parse_args(argv)
+    if getattr(ns, "parallelism", None) == 0:
+        ns.parallelism = _usable_cpus()
     try:
         if getattr(ns, "na", 0) < 0:
             raise ContractViolationError(f"na must be >= 0, got {ns.na}")

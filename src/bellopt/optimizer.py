@@ -14,7 +14,6 @@ seeded multi-start with a deterministic reduction.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -50,6 +49,8 @@ _GRADIENT_TOL = 1e-5
 _ARMIJO_C1 = 1e-4
 _BACKTRACK_SHRINK = 0.5
 _MAX_BACKTRACKS = 50
+#: A restart's generator reals are drawn uniform in [-_INIT_SCALE, _INIT_SCALE].
+_INIT_SCALE = 0.5
 
 
 @dataclass
@@ -59,7 +60,6 @@ class OptimizerConfig:
     n_a: int
     restarts: int = 20
     max_iterations: int = 2000
-    init_scale: float = 0.5
     seed: int = 0
     parallelism: int = 1
 
@@ -74,10 +74,6 @@ class OptimizerConfig:
             )
         if self.parallelism < 1:
             raise ContractViolationError(f"parallelism must be >= 1, got {self.parallelism}")
-        if not (math.isfinite(self.init_scale) and self.init_scale >= 0):
-            raise ContractViolationError(
-                f"init_scale must be finite and >= 0, got {self.init_scale}"
-            )
         if self.seed < 0:
             raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
 
@@ -265,7 +261,7 @@ def _run_restart(cfg: OptimizerConfig, index: int) -> tuple[RestartRecord, np.nd
     ``SeedSequence(seed).spawn(...)``, built without its siblings.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
-    x0 = initial_vector(cfg.n_a, cfg.init_scale, rng)
+    x0 = initial_vector(cfg.n_a, _INIT_SCALE, rng)
     x, f, stats = _bfgs_descent(x0, cfg.n_a, cfg.max_iterations)
     return RestartRecord(restart=index, h_mutual=H_X_BITS - f, **stats), x
 

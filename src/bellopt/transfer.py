@@ -41,7 +41,7 @@ from bellopt.fock import (
 ORACLE_MAX_PHOTONS = 4
 ORACLE_MAX_MODES = 6
 
-#: Default allowance on singular values beyond 1 before a matrix is rejected.
+#: Fixed allowance on singular values beyond 1 before a matrix is rejected.
 SUBUNITARY_TOL = 1e-9
 
 
@@ -66,9 +66,9 @@ class CircuitMatrix:
         top = float(np.linalg.svd(self.entries, compute_uv=False)[0])
         return max(0.0, top - 1.0)
 
-    def require_subunitary(self, tol: float = SUBUNITARY_TOL) -> None:
+    def require_subunitary(self) -> None:
         excess = self.subunitarity_excess()
-        if excess > tol:
+        if excess > SUBUNITARY_TOL:
             raise InvalidMatrixError(
                 f"matrix is not sub-unitary: largest singular value exceeds 1 by {excess:.3e}"
             )
