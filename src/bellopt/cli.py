@@ -362,6 +362,11 @@ def main(argv=None) -> int:
     try:
         if getattr(ns, "na", 0) < 0:
             raise ContractViolationError(f"na must be >= 0, got {ns.na}")
+        # Output paths are checked before any work, so a typo cannot cost a run.
+        for path in (getattr(ns, "out", None), getattr(ns, "table", None)):
+            if path is not None and not Path(path).parent.is_dir():
+                raise ContractViolationError(
+                    f"output directory does not exist: {Path(path).parent}")
         return ns.func(ns)
     except (
         MatrixFileError,

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bellopt import cli
 from bellopt.cli import main
 from bellopt.infometrics import InfoReport
 from bellopt.optimizer import RestartRecord
@@ -212,6 +213,31 @@ def test_out_of_range_run_value_is_a_one_line_error(tmp_path, capsys, args):
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["optimize", "sweep", "conditions", "evaluate"])
+def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("optimize", "conditioned_vs_unconditioned_experiment", "outcome_table"):
+        monkeypatch.setattr(cli, name, refuse)
+    matrix = tmp_path / "u.json"
+    write_matrix_file(matrix, haar_random_unitary(4, 1))
+    missing = tmp_path / "missing"
+    args = {
+        "optimize": ["--na", 0, "--restarts", 2, "--parallelism", 1, "--out", missing / "r.json"],
+        "sweep": ["--na-list", "0", "--restarts", 2, "--parallelism", 1,
+                  "--out", missing / "s.csv"],
+        "conditions": ["--na", 4, "--trials", 1, "--out", missing / "c"],
+        "evaluate": ["--matrix", matrix, "--na", 0, "--table", missing / "t.json"],
+    }[command]
+    assert run_cli([command, *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output directory does not exist: {missing}\n"
+    assert captured.out == ""
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
