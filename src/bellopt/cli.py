@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -37,7 +36,7 @@ from bellopt.errors import (
 )
 from bellopt.infometrics import mutual_information
 from bellopt.optimizer import OptimizerConfig, optimize
-from bellopt.transfer import CircuitMatrix, outcome_table
+from bellopt.transfer import outcome_table
 from bellopt.unitary import (
     RNG_ALGORITHM,
     haar_random_unitary,
@@ -150,18 +149,8 @@ def cmd_optimize(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _read_matrix(ns: argparse.Namespace) -> CircuitMatrix:
-    """The ``--matrix`` file, checked to have the ``--na`` + 4 modes it needs."""
-    matrix = read_matrix_file(ns.matrix)
-    if matrix.m != ns.na + 4:
-        raise ContractViolationError(
-            f"matrix has {matrix.m} modes but na={ns.na} needs {ns.na + 4}"
-        )
-    return matrix
-
-
 def cmd_evaluate(ns: argparse.Namespace) -> int:
-    matrix = _read_matrix(ns)
+    matrix = read_matrix_file(ns.matrix)
     table = outcome_table(matrix, ns.na)
     report = mutual_information(table)
     _print_report(report)
@@ -214,9 +203,7 @@ def cmd_conditions(ns: argparse.Namespace) -> int:
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
-    if not (math.isfinite(ns.tol) and ns.tol > 0):
-        raise ContractViolationError(f"tol must be finite and > 0, got {ns.tol}")
-    matrix = _read_matrix(ns)
+    matrix = read_matrix_file(ns.matrix)
     verdicts = check_column_conditions(matrix, ns.na, tol=ns.tol)
     scan = scan_bunched_two_mode(matrix, ns.na, tol=ns.tol)
     failing = []

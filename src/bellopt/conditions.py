@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from bellopt.errors import ContractViolationError
-from bellopt.fock import FockState, bosonic_factor, occupation_array
+from bellopt.fock import FockState, bosonic_factor, occupation_array, read_only
 from bellopt.infometrics import mutual_information
 from bellopt.transfer import (
     CircuitMatrix,
@@ -37,6 +37,7 @@ from bellopt.transfer import (
     bell_amplitudes,
     outcome_probabilities,
     outcome_table,
+    require_modes,
 )
 from bellopt.unitary import haar_random_unitary, sample_conditioned_unitary
 
@@ -90,6 +91,13 @@ class ColumnVerdict:
     witness: ColumnWitness
 
 
+def _zeros(values: np.ndarray, tol: float) -> np.ndarray:
+    """Where ``values`` count as zero: below ``tol``, which must be finite and > 0."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ContractViolationError(f"tol must be finite and > 0, got {tol}")
+    return np.abs(values) < tol
+
+
 def clause_verdicts(
     outcomes: Sequence[FockState], amps: np.ndarray, c: np.ndarray, tol: float = DEFAULT_TOL
 ) -> list[OutcomeVerdict]:
@@ -101,14 +109,14 @@ def clause_verdicts(
     zero, the other positive) while the second pair vanishes. C: the mirror
     image. NONE with probability mass is an ambiguous outcome.
     """
-    zero = np.abs(amps) < tol
+    zero = _zeros(amps, tol)
     first = ~zero[:, 0] & zero[:, 2] & zero[:, 3]
     second = ~zero[:, 2] & zero[:, 0] & zero[:, 1]
     # Sign of the pair that alone carries amplitude: +1 if its two agree, -1
     # if they cancel, 0 if neither or if no pair qualifies.
     a, b = np.where(first[:, None], amps[:, :2], amps[:, 2:]).T
     sign = (first | second) * np.where(
-        np.abs(a - b) < tol, 1, np.where(np.abs(a + b) < tol, -1, 0)
+        _zeros(a - b, tol), 1, np.where(_zeros(a + b, tol), -1, 0)
     )
     clause = np.select(
         [zero.all(axis=1), first & (sign != 0), second & (sign != 0)],
@@ -143,9 +151,7 @@ def classify_outcome(
 @lru_cache(maxsize=None)
 def _bunched_indices(n_a: int) -> np.ndarray:
     """Alphabet indices of the outcomes with all photons in at most two modes."""
-    indices = np.flatnonzero((occupation_array(n_a + 2, n_a + 4) > 0).sum(axis=1) <= 2)
-    indices.setflags(write=False)
-    return indices
+    return read_only(np.flatnonzero((occupation_array(n_a + 2, n_a + 4) > 0).sum(axis=1) <= 2))
 
 
 @lru_cache(maxsize=None)
@@ -167,6 +173,7 @@ def scan_bunched_two_mode(
     Any verdict that is NONE with probability mass marks the analyzer as
     unable to perform an ideal measurement.
     """
+    require_modes(u.entries.shape, n_a)
     u.require_subunitary()
     bunched = _bunched_indices(n_a)
     amps = np.stack([a[bunched] for a in bell_amplitude_arrays(u.entries, n_a)], axis=-1)
@@ -183,10 +190,8 @@ def check_column_conditions(
     u: CircuitMatrix, n_a: int, tol: float = DEFAULT_TOL
 ) -> list[ColumnVerdict]:
     """Evaluate the per-column zero-pattern conditions I-IV."""
-    m = n_a + 4
-    if u.m != m:
-        raise ContractViolationError(f"matrix is {u.m}x{u.m}, expected {m}x{m}")
-    zeros = np.abs(u.entries) < tol
+    require_modes(u.entries.shape, n_a)
+    zeros = _zeros(u.entries, tol)
     anc = zeros[:n_a]
     q12 = zeros[n_a] & zeros[n_a + 1]
     q34 = zeros[n_a + 2] & zeros[n_a + 3]
@@ -203,16 +208,16 @@ def check_column_conditions(
         "III": (n_s >= 2) & q34 & (q34 | cross_s).all(axis=1),
         "IV": (n_s >= 1) & q12 & q34 & (q12 | q34 | cross_s).all(axis=1),
     }
-    qubit = np.arange(m) >= n_a
+    qubit = np.arange(u.m) >= n_a
     verdicts = []
-    for col in range(m):
+    for col in range(u.m):
         witness_rows = zeros[:, col] | qubit
         witness = ColumnWitness(
             column=col + 1,
             ancilla_zero_rows=_rows(anc[:, col]),
             qubit_zero_rows=_rows(zeros[:, col] & qubit),
             cross_zero_rows={
-                l + 1: _rows(witness_rows & zeros[:, l]) for l in range(m) if l != col
+                l + 1: _rows(witness_rows & zeros[:, l]) for l in range(u.m) if l != col
             },
         )
         satisfied = frozenset(name for name, holds in conditions.items() if holds[col])

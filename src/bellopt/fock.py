@@ -19,12 +19,20 @@ objects are built from its rows only where a caller asks for them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from bellopt.errors import ContractViolationError
+
+
+def _integers(values) -> tuple[int, ...]:
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ContractViolationError(f"expected integers, got {tuple(values)}") from exc
 
 
 @dataclass(frozen=True)
@@ -34,7 +42,7 @@ class FockState:
     occupations: tuple[int, ...]
 
     def __post_init__(self):
-        occ = tuple(int(n) for n in self.occupations)
+        occ = _integers(self.occupations)
         if any(n < 0 for n in occ):
             raise ContractViolationError(f"negative occupation in {occ}")
         object.__setattr__(self, "occupations", occ)
@@ -60,7 +68,7 @@ class ModeLabeling:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        labels = tuple(int(x) for x in self.labels)
+        labels = _integers(self.labels)
         if any(x < 1 for x in labels):
             raise ContractViolationError(f"mode labels are 1-based, got {labels}")
         if any(a > b for a, b in zip(labels, labels[1:])):
@@ -70,6 +78,12 @@ class ModeLabeling:
     @property
     def n(self) -> int:
         return len(self.labels)
+
+
+def read_only(table: np.ndarray) -> np.ndarray:
+    """Mark a cached table read-only: its callers share it, so an edit would reach them all."""
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -90,9 +104,7 @@ def occupation_array(n_photons: int, n_modes: int) -> np.ndarray:
         tails = [np.concatenate([np.insert(tails[r - first], 0, first, axis=1)
                                  for first in range(r, -1, -1)])
                  for r in range(n_photons + 1)]
-    occ = tails[n_photons]
-    occ.setflags(write=False)
-    return occ
+    return read_only(tails[n_photons])
 
 
 @lru_cache(maxsize=None)

@@ -35,6 +35,7 @@ from bellopt.transfer import (
     bell_probability_parts,
     bell_probability_pullback,
     outcome_table,
+    require_modes,
 )
 from bellopt.unitary import (
     CircuitParams,
@@ -137,10 +138,7 @@ def _objective_vectors(vectors: np.ndarray, n_a: int) -> np.ndarray:
 
 def objective(params: CircuitParams, n_a: int) -> float:
     """Garbage-corrected conditional information of the analyzer at ``params``."""
-    if params.m != n_a + 4:
-        raise ContractViolationError(
-            f"params describe {params.m} modes but n_a={n_a} needs {n_a + 4}"
-        )
+    require_modes((params.m, params.m), n_a)
     return float(_objective_vectors(params.to_vector(), n_a))
 
 
@@ -169,10 +167,7 @@ def _value_and_pullback(x: np.ndarray, n_a: int):
 
 def gradient(params: CircuitParams, n_a: int) -> np.ndarray:
     """Gradient of :func:`objective`, one value per parameter."""
-    if params.m != n_a + 4:
-        raise ContractViolationError(
-            f"params describe {params.m} modes but n_a={n_a} needs {n_a + 4}"
-        )
+    require_modes((params.m, params.m), n_a)
     return _value_and_pullback(params.to_vector(), n_a)[1]()
 
 

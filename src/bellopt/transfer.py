@@ -36,6 +36,7 @@ from bellopt.fock import (
     enumerate_outcomes,
     occupation_array,
     outcome_count,
+    read_only,
     to_labeling,
 )
 
@@ -196,6 +197,14 @@ def amplitude_oracle(u: CircuitMatrix, input_state: FockState, output_state: Foc
 # Bell-state inputs
 # ---------------------------------------------------------------------------
 
+def require_modes(shape: tuple[int, ...], n_a: int) -> None:
+    """Reject a circuit without the Bell layout's modes: N_a >= 0 ancillas, then four."""
+    m = n_a + 4
+    if n_a < 0 or shape != (m, m):
+        raise ContractViolationError(
+            f"matrix of shape {shape} does not fit n_a={n_a}, which needs {m}x{m} and n_a >= 0")
+
+
 def _bell_qubit_modes(x: int, n_a: int) -> tuple[tuple[int, int], tuple[int, int], int]:
     """0-based photon modes of the two Fock branches of Bell input x, plus sign."""
     if x not in (1, 2, 3, 4):
@@ -238,9 +247,8 @@ def _bell_row_sets(n_a: int) -> tuple[tuple[int, ...], ...]:
 
 def bell_amplitudes(u: CircuitMatrix, y: FockState, n_a: int) -> np.ndarray:
     """The four distinct-permutation sums feeding p(y|x) for one outcome y, shape (4,)."""
+    require_modes(u.entries.shape, n_a)
     n, m = n_a + 2, n_a + 4
-    if u.m != m:
-        raise ContractViolationError(f"matrix is {u.m}x{u.m}, expected {m}x{m}")
     if y.m != m or y.n != n:
         raise ContractViolationError(
             f"outcome must have {n} photons over {m} modes, got {y.n} over {y.m}"
@@ -283,7 +291,7 @@ def _insertion_targets(n_photons: int, n_modes: int) -> np.ndarray:
     targets[0] = np.arange(len(occ))
     np.cumsum(binomials[after, lower], axis=1, out=targets[1:].T)
     targets[1:] += targets[0]
-    return targets
+    return read_only(targets)
 
 
 @lru_cache(maxsize=None)
@@ -301,8 +309,7 @@ def _insertion_sources(n_photons: int, n_modes: int) -> np.ndarray:
     sources = np.full((n_modes, outcome_count(n_photons + 1, n_modes)), pad,
                       dtype=np.min_scalar_type(pad))
     sources[np.arange(n_modes)[:, None], targets] = np.arange(pad)
-    sources.setflags(write=False)
-    return sources
+    return read_only(sources)
 
 
 #: Output states per gather. The top level gathers both one-qubit-photon
@@ -334,7 +341,7 @@ def _creation_step(rows: np.ndarray, vec: np.ndarray, level: int, n_modes: int) 
 @lru_cache(maxsize=None)
 def _bosonic_factor_array(n_photons: int, n_modes: int) -> np.ndarray:
     factorials = np.array([math.factorial(k) for k in range(n_photons + 1)])
-    return 0.5 * factorials[occupation_array(n_photons, n_modes)].prod(axis=1)
+    return read_only(0.5 * factorials[occupation_array(n_photons, n_modes)].prod(axis=1))
 
 
 def _cascade(u: np.ndarray, n_a: int):
@@ -364,9 +371,7 @@ def bell_amplitude_arrays(u_entries: np.ndarray, n_a: int) -> tuple[np.ndarray, 
     :func:`bellopt.fock.enumerate_outcomes`.
     """
     u = np.asarray(u_entries, dtype=np.complex128)
-    m = n_a + 4
-    if u.shape != (m, m):
-        raise ContractViolationError(f"matrix must be {m}x{m}, got {u.shape}")
+    require_modes(u.shape, n_a)
     return _cascade(u, n_a)[2]
 
 
@@ -414,12 +419,10 @@ def bell_probability_pullback(u: np.ndarray, n_a: int):
     the (M, M) complex matrix, as d/dRe U + i d/dIm U. The forward keeps every
     cascade level, so the reverse pass costs about one forward.
     """
-    m = n_a + 4
     u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (m, m):
-        raise ContractViolationError(f"matrix must be {m}x{m}, got {u.shape}")
+    require_modes(u.shape, n_a)
     levels, (q1, q2), (a1, a2, a3, a4) = _cascade(u, n_a)
-    c = _bosonic_factor_array(n_a + 2, m)
+    c = _bosonic_factor_array(n_a + 2, len(u))
     # The reverse pass keeps only the four sums. They overwrite the four
     # amplitudes, which share one array, to keep peak memory down at large K.
     a1[...], a2[...] = a1 + a2, a1 - a2
@@ -437,7 +440,7 @@ def bell_probability_pullback(u: np.ndarray, n_a: int):
         s_bar = [2.0 * c * p_bar[x] * sums[x] for x in range(4)]
         a_bar = (s_bar[0] + s_bar[1], s_bar[0] - s_bar[1],
                  s_bar[2] + s_bar[3], s_bar[2] - s_bar[3])
-        u_bar = np.zeros((m, m), dtype=np.complex128)
+        u_bar = np.zeros_like(u)
 
         def pull(source, r, level, out_bar):
             source_bar, row_bar = _pull_creation_row(source, u[r], level, out_bar)
@@ -460,9 +463,7 @@ def outcome_table(u: CircuitMatrix, n_a: int) -> OutcomeTable:
     Keeps every outcome, including all-zero rows; the conditions checker needs
     the full alphabet.
     """
-    m = n_a + 4
-    if u.m != m:
-        raise ContractViolationError(f"matrix is {u.m}x{u.m}, expected {m}x{m} for n_a={n_a}")
+    require_modes(u.entries.shape, n_a)
     u.require_subunitary()
     p, garbage = bell_probability_pullback(u.entries, n_a)[:2]
-    return OutcomeTable(p=np.ascontiguousarray(p.T), garbage=garbage, n_a=n_a, m=m)
+    return OutcomeTable(p=np.ascontiguousarray(p.T), garbage=garbage, n_a=n_a, m=u.m)

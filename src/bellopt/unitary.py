@@ -28,6 +28,7 @@ from bellopt.errors import (
     MatrixFileError,
     UnsupportedConfigurationError,
 )
+from bellopt.fock import read_only
 from bellopt.transfer import CircuitMatrix
 
 #: Generator recorded in output metadata so runs can be reproduced exactly.
@@ -75,10 +76,7 @@ class CircuitParams:
 @lru_cache(maxsize=None)
 def _upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``np.triu_indices(m, k=1)``; building it costs more than using it."""
-    iu, ju = np.triu_indices(m, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+    return tuple(map(read_only, np.triu_indices(m, k=1)))
 
 
 def hermitian_from_storage(storage: np.ndarray, m: int) -> np.ndarray:

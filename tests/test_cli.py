@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -434,3 +435,14 @@ def test_matrix_file_17_digit_round_trip(tmp_path):
     write_matrix_file(path, u)
     again = read_matrix_file(path)
     assert np.array_equal(u.entries, again.entries)
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line) for line in block.splitlines() if line.startswith("bellopt ")]
+    commands = {"optimize", "sweep", "evaluate", "sample", "check", "conditions"}
+    assert {argv[1] for argv in examples} == commands
+    parser = cli.build_parser()
+    for argv in examples:
+        parser.parse_args(argv[1:])  # a stale flag exits 2 and fails the test

@@ -325,6 +325,20 @@ def test_check_column_conditions_dimension_guard():
         check_column_conditions(CircuitMatrix(np.eye(4)), 2)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_tol_is_rejected_by_the_library(tol):
+    u = sample_conditioned_unitary(4, 1)
+    checks = (
+        lambda: check_column_conditions(u, 4, tol=tol),
+        lambda: scan_bunched_two_mode(u, 4, tol=tol),
+        lambda: classify_outcome(u, FockState((2, 1, 1, 1, 0, 0, 0, 1)), 4, tol=tol),
+        lambda: clause_verdicts([], np.zeros((0, 4)), np.zeros(0), tol),
+    )
+    for check in checks:
+        with pytest.raises(ContractViolationError, match=r"^tol must be finite and > 0, got "):
+            check()
+
+
 def test_experiment_small_run():
     comparison = conditioned_vs_unconditioned_experiment(4, trials=3, seed=9)
     assert comparison.trials == 3

@@ -2,6 +2,7 @@ import itertools
 import math
 from typing import Iterator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +107,21 @@ def test_fock_state_rejects_negative():
 )
 def test_to_labeling_examples(occ, labels):
     assert to_labeling(FockState(occ)).labels == labels
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, np.float64(2.0), "1", None])
+def test_non_integers_are_rejected(bad):
+    with pytest.raises(ContractViolationError):
+        FockState((bad, 0))
+    with pytest.raises(ContractViolationError):
+        ModeLabeling((1, bad))
+
+
+def test_numpy_integers_become_python_ints():
+    state = FockState((np.int64(2), np.uint8(0), 1))
+    labeling = ModeLabeling((np.intp(1), np.uint16(3)))
+    assert state.occupations == (2, 0, 1) and labeling.labels == (1, 3)
+    assert all(type(k) is int for k in (*state.occupations, *labeling.labels))
 
 
 def test_labeling_requires_sorted_one_based():

@@ -31,7 +31,7 @@ from bellopt.transfer import (
     outcome_table,
     permanent,
 )
-from bellopt.unitary import haar_random_unitary
+from bellopt.unitary import _upper_indices, haar_random_unitary
 
 
 def naive_permanent(a: np.ndarray) -> complex:
@@ -171,6 +171,22 @@ def test_array_tables_match_the_per_state_reference(n_a):
     assert _bunched_indices(n_a).tolist() == [
         i for i, y in enumerate(top) if sum(1 for k in y.occupations if k) <= 2
     ]
+
+
+def test_cached_tables_are_read_only():
+    # An in-place edit of a shared table would corrupt every later forward
+    # and gradient in the process.
+    n_a, m = 2, 6
+    tables = {
+        "occupation_array": occupation_array(n_a + 2, m),
+        "_insertion_targets": _insertion_targets(n_a + 1, m),
+        "_insertion_sources": _insertion_sources(n_a + 1, m),
+        "_bosonic_factor_array": _bosonic_factor_array(n_a + 2, m),
+        "_bunched_indices": _bunched_indices(n_a),
+        "_upper_indices rows": _upper_indices(m)[0],
+        "_upper_indices columns": _upper_indices(m)[1],
+    }
+    assert [name for name, table in tables.items() if table.flags.writeable] == []
 
 
 def test_oracle_identity_and_splitter():
