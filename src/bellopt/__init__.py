@@ -25,7 +25,7 @@ from bellopt.errors import (
     OracleScaleError,
     UnsupportedConfigurationError,
 )
-from bellopt.fock import FockState, ModeLabeling, enumerate_outcomes
+from bellopt.fock import enumerate_outcomes
 from bellopt.transfer import (
     CircuitMatrix,
     OutcomeTable,

@@ -226,7 +226,8 @@ def cmd_check(ns: argparse.Namespace) -> int:
         print(f"failing columns: {failing}")
     if ambiguous:
         worst = max(ambiguous, key=lambda v: v.prob_mass)
-        print(f"worst ambiguous outcome: {worst.outcome} mass={worst.prob_mass:.3e}")
+        occupations = ",".join(map(str, worst.outcome))
+        print(f"worst ambiguous outcome: ({occupations}) mass={worst.prob_mass:.3e}")
     ok = not failing and not ambiguous
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1

@@ -11,8 +11,10 @@ particular construction, is the source of truth.
 One clause rule, :func:`clause_verdicts`, sorts (n, 4) arrays of branch
 amplitudes: the bunched rows of one run of the whole-alphabet cascade in
 :mod:`bellopt.transfer` (:func:`scan_bunched_two_mode`), or one outcome's
-Ryser permanents (:func:`classify_outcome`, the scan's test reference). The
-column checker reads the zero pattern as boolean masks.
+Ryser permanents (:func:`classify_outcome`, the scan's test reference).
+Outcomes are occupation rows of :func:`bellopt.fock.enumerate_outcomes`, and
+each verdict names its outcome as a tuple of ints. The column checker reads
+the zero pattern as boolean masks.
 
 Zero means "below ``tol``" throughout; the threshold is a knob surfaced in
 every report because near-perfect analyzers only need near-zeros.
@@ -20,6 +22,7 @@ every report because near-perfect analyzers only need near-zeros.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from bellopt.errors import ContractViolationError
-from bellopt.fock import FockState, bosonic_factor, occupation_array, read_only
+from bellopt.fock import enumerate_outcomes, read_only
 from bellopt.infometrics import mutual_information
 from bellopt.transfer import (
     CircuitMatrix,
@@ -58,7 +61,7 @@ class Clause(str, Enum):
 class OutcomeVerdict:
     """Classification of one outcome against the perfect-measurement clauses."""
 
-    outcome: FockState
+    outcome: tuple[int, ...]
     clause: Clause
     amplitudes: np.ndarray
     ambiguous: bool
@@ -99,15 +102,19 @@ def _zeros(values: np.ndarray, tol: float) -> np.ndarray:
 
 
 def clause_verdicts(
-    outcomes: Sequence[FockState], amps: np.ndarray, c: np.ndarray, tol: float = DEFAULT_TOL
+    outcomes: Sequence[tuple[int, ...]] | np.ndarray,
+    amps: np.ndarray,
+    c: np.ndarray,
+    tol: float = DEFAULT_TOL,
 ) -> list[OutcomeVerdict]:
     """Sort outcomes into clause A, B, C, or NONE from their branch amplitudes.
 
-    ``amps`` holds one (a1, a2, a3, a4) row per outcome, shape (n, 4), and
-    ``c`` the outcomes' bosonic factors, shape (n,). A: all four amplitudes
-    vanish. B: the first pair agrees up to sign (one of p(y|1), p(y|2) is
-    zero, the other positive) while the second pair vanishes. C: the mirror
-    image. NONE with probability mass is an ambiguous outcome.
+    ``outcomes`` holds one occupation row per outcome, ``amps`` their
+    (a1, a2, a3, a4) rows, shape (n, 4), and ``c`` their bosonic factors,
+    shape (n,). A: all four amplitudes vanish. B: the first pair agrees up
+    to sign (one of p(y|1), p(y|2) is zero, the other positive) while the
+    second pair vanishes. C: the mirror image. NONE with probability mass is
+    an ambiguous outcome.
     """
     zero = _zeros(amps, tol)
     first = ~zero[:, 0] & zero[:, 2] & zero[:, 3]
@@ -135,34 +142,35 @@ def clause_verdicts(
             prob_mass=mass,
         )
         for y, cl, row, amb, s, mass in zip(
-            outcomes, clause.tolist(), amps, ambiguous.tolist(), sign.tolist(), prob_mass.tolist()
+            map(tuple, np.asarray(outcomes).tolist()), clause.tolist(), amps,
+            ambiguous.tolist(), sign.tolist(), prob_mass.tolist(),
         )
     ]
 
 
 def classify_outcome(
-    u: CircuitMatrix, y: FockState, n_a: int, tol: float = DEFAULT_TOL
+    u: CircuitMatrix, y: tuple[int, ...], n_a: int, tol: float = DEFAULT_TOL
 ) -> OutcomeVerdict:
-    """Sort one outcome into clause A, B, C, or NONE via its Ryser permanents."""
+    """Sort one outcome, a tuple of occupations, into clause A, B, C, or NONE.
+
+    The branch amplitudes are Ryser permanents; the bosonic factor is
+    (1/2) prod n_k!.
+    """
     amps = bell_amplitudes(u, y, n_a)
-    return clause_verdicts([y], amps[None], np.array([bosonic_factor(y)]), tol)[0]
+    c = 0.5 * math.prod(map(math.factorial, y))
+    return clause_verdicts([y], amps[None], np.array([c]), tol)[0]
 
 
 @lru_cache(maxsize=None)
 def _bunched_indices(n_a: int) -> np.ndarray:
     """Alphabet indices of the outcomes with all photons in at most two modes."""
-    return read_only(np.flatnonzero((occupation_array(n_a + 2, n_a + 4) > 0).sum(axis=1) <= 2))
+    occupied = (enumerate_outcomes(n_a + 2, n_a + 4) > 0).sum(axis=1)
+    return read_only(np.flatnonzero(occupied <= 2))
 
 
-@lru_cache(maxsize=None)
-def _bunched_states(n_a: int) -> tuple[FockState, ...]:
-    occ = occupation_array(n_a + 2, n_a + 4)[_bunched_indices(n_a)]
-    return tuple(FockState(tuple(row)) for row in occ.tolist())
-
-
-def bunched_two_mode_outcomes(n_a: int) -> list[FockState]:
-    """Every outcome with all photons in at most two modes, in alphabet order."""
-    return list(_bunched_states(n_a))
+def bunched_two_mode_outcomes(n_a: int) -> np.ndarray:
+    """Every outcome with all photons in at most two modes, as alphabet rows in order."""
+    return enumerate_outcomes(n_a + 2, n_a + 4)[_bunched_indices(n_a)]
 
 
 def scan_bunched_two_mode(
@@ -178,7 +186,7 @@ def scan_bunched_two_mode(
     bunched = _bunched_indices(n_a)
     amps = np.stack([a[bunched] for a in bell_amplitude_arrays(u.entries, n_a)], axis=-1)
     c = _bosonic_factor_array(n_a + 2, n_a + 4)[bunched]
-    return clause_verdicts(_bunched_states(n_a), amps, c, tol)
+    return clause_verdicts(bunched_two_mode_outcomes(n_a), amps, c, tol)
 
 
 def _rows(mask: np.ndarray) -> tuple[int, ...]:

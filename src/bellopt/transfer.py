@@ -10,7 +10,9 @@ information metrics and the conditions checker all read it.
 :func:`bell_probability_pullback` keeps its levels and runs it in reverse
 for the optimizer's gradient.
 
-Two independent routes to the same amplitudes stay here as test references:
+Outcomes are the rows of :func:`bellopt.fock.enumerate_outcomes`. Two
+independent routes to the same amplitudes stay here as test references; they
+take single outcomes as tuples of occupations:
 
 * :func:`amplitude` and :func:`bell_amplitudes` evaluate single matrix
   elements through a Ryser permanent with Gray-code subset updates,
@@ -31,14 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from bellopt.errors import ContractViolationError, InvalidMatrixError, OracleScaleError
-from bellopt.fock import (
-    FockState,
-    enumerate_outcomes,
-    occupation_array,
-    outcome_count,
-    read_only,
-    to_labeling,
-)
+from bellopt.fock import enumerate_outcomes, outcome_count, read_only
 
 #: Desk-scale caps for the symbolic expansion oracle.
 ORACLE_MAX_PHOTONS = 4
@@ -94,11 +89,6 @@ class OutcomeTable:
     @property
     def occupations(self) -> np.ndarray:
         """The outcome alphabet as a (K, M) array, in the order of ``p``."""
-        return occupation_array(self.n_a + 2, self.m)
-
-    @property
-    def states(self) -> tuple[FockState, ...]:
-        """The rows of :attr:`occupations` as :class:`FockState` objects."""
         return enumerate_outcomes(self.n_a + 2, self.m)
 
 
@@ -131,37 +121,44 @@ def permanent(a: np.ndarray) -> complex:
     return complex(total)
 
 
-def _check_pair(u: CircuitMatrix, input_state: FockState, output_state: FockState) -> None:
-    if input_state.m != output_state.m or input_state.m != u.m:
+def _check_pair(u: CircuitMatrix, input_state: tuple[int, ...],
+                output_state: tuple[int, ...]) -> None:
+    if len(input_state) != len(output_state) or len(input_state) != u.m:
         raise ContractViolationError(
-            f"mode counts disagree: input {input_state.m}, output {output_state.m}, "
+            f"mode counts disagree: input {len(input_state)}, output {len(output_state)}, "
             f"matrix {u.m}"
         )
-    if input_state.n != output_state.n:
+    if sum(input_state) != sum(output_state):
         raise ContractViolationError(
-            f"photon number not conserved: input {input_state.n}, output {output_state.n}"
+            f"photon number not conserved: input {sum(input_state)}, "
+            f"output {sum(output_state)}"
         )
 
 
-def amplitude(u: CircuitMatrix, input_state: FockState, output_state: FockState) -> complex:
+def _labels(occ: tuple[int, ...]) -> np.ndarray:
+    """0-based mode of each photon, sorted: the canonical labeling of ``occ``."""
+    return np.repeat(np.arange(len(occ)), occ)
+
+
+def _factorial_product(occ: tuple[int, ...]) -> int:
+    return math.prod(map(math.factorial, occ))
+
+
+def amplitude(u: CircuitMatrix, input_state: tuple[int, ...],
+              output_state: tuple[int, ...]) -> complex:
     """Transition amplitude <output| A(U) |input> via the matrix permanent.
 
     Equals perm(U[m, m']) / sqrt(prod n_k! * prod n'_k!) where m, m' are the
     canonical labelings of the two states.
     """
     _check_pair(u, input_state, output_state)
-    rows = [label - 1 for label in to_labeling(input_state).labels]
-    cols = [label - 1 for label in to_labeling(output_state).labels]
-    sub = u.entries[np.ix_(rows, cols)] if rows else np.zeros((0, 0), dtype=np.complex128)
-    norm = 1.0
-    for occ in input_state.occupations:
-        norm *= math.factorial(occ)
-    for occ in output_state.occupations:
-        norm *= math.factorial(occ)
+    sub = u.entries[np.ix_(_labels(input_state), _labels(output_state))]
+    norm = _factorial_product(input_state) * _factorial_product(output_state)
     return permanent(sub) / math.sqrt(norm)
 
 
-def amplitude_oracle(u: CircuitMatrix, input_state: FockState, output_state: FockState) -> complex:
+def amplitude_oracle(u: CircuitMatrix, input_state: tuple[int, ...],
+                     output_state: tuple[int, ...]) -> complex:
     """Independent amplitude route: expand the transformed creation-operator product.
 
     Tracks the polynomial in output-mode creation operators term by term and
@@ -169,28 +166,23 @@ def amplitude_oracle(u: CircuitMatrix, input_state: FockState, output_state: Foc
     bookkeeping limits it to desk scale.
     """
     _check_pair(u, input_state, output_state)
-    if input_state.n > ORACLE_MAX_PHOTONS or input_state.m > ORACLE_MAX_MODES:
+    n, m = sum(input_state), len(input_state)
+    if n > ORACLE_MAX_PHOTONS or m > ORACLE_MAX_MODES:
         raise OracleScaleError(
             f"oracle caps at N <= {ORACLE_MAX_PHOTONS}, M <= {ORACLE_MAX_MODES}; "
-            f"got N = {input_state.n}, M = {input_state.m}"
+            f"got N = {n}, M = {m}"
         )
-    m = input_state.m
     poly: dict[tuple[int, ...], complex] = {(0,) * m: 1.0 + 0.0j}
-    for label in to_labeling(input_state).labels:
-        row = u.entries[label - 1]
+    for label in _labels(input_state):
+        row = u.entries[label]
         grown: dict[tuple[int, ...], complex] = {}
         for monomial, coeff in poly.items():
             for mode in range(m):
                 key = monomial[:mode] + (monomial[mode] + 1,) + monomial[mode + 1:]
                 grown[key] = grown.get(key, 0.0 + 0.0j) + coeff * row[mode]
         poly = grown
-    coeff = poly.get(output_state.occupations, 0.0 + 0.0j)
-    scale = 1.0
-    for occ in output_state.occupations:
-        scale *= math.factorial(occ)
-    for occ in input_state.occupations:
-        scale /= math.factorial(occ)
-    return coeff * math.sqrt(scale)
+    coeff = poly.get(tuple(output_state), 0.0 + 0.0j)
+    return coeff * math.sqrt(_factorial_product(output_state) / _factorial_product(input_state))
 
 
 # ---------------------------------------------------------------------------
@@ -217,48 +209,36 @@ def _bell_qubit_modes(x: int, n_a: int) -> tuple[tuple[int, int], tuple[int, int
     return branch_a, branch_b, sign
 
 
-def bell_input_branches(x: int, n_a: int) -> tuple[FockState, FockState, int]:
+def bell_input_branches(x: int, n_a: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """The two Fock components of Bell input x with n_a single-photon ancillas.
 
     The input state is (branch_a + sign * branch_b) / sqrt(2).
     """
     branch_a, branch_b, sign = _bell_qubit_modes(x, n_a)
-    m = n_a + 4
 
-    def branch(modes: tuple[int, int]) -> FockState:
+    def branch(modes: tuple[int, int]) -> tuple[int, ...]:
         occ = [1] * n_a + [0] * 4
         for mode in modes:
             occ[mode] += 1
-        return FockState(tuple(occ))
+        return tuple(occ)
 
     return branch(branch_a), branch(branch_b), sign
 
 
-def _bell_row_sets(n_a: int) -> tuple[tuple[int, ...], ...]:
-    """0-based input-row selections behind the four branch amplitudes."""
-    anc = tuple(range(n_a))
-    return (
-        anc + (n_a, n_a + 2),
-        anc + (n_a + 1, n_a + 3),
-        anc + (n_a, n_a + 3),
-        anc + (n_a + 1, n_a + 2),
-    )
+def bell_amplitudes(u: CircuitMatrix, y: tuple[int, ...], n_a: int) -> np.ndarray:
+    """The four distinct-permutation sums feeding p(y|x) for one outcome y, shape (4,).
 
-
-def bell_amplitudes(u: CircuitMatrix, y: FockState, n_a: int) -> np.ndarray:
-    """The four distinct-permutation sums feeding p(y|x) for one outcome y, shape (4,)."""
+    They are the permanents of the four branches (a1, a2) of input 1 and
+    (a3, a4) of input 3, each over ``prod n_k!`` of ``y``.
+    """
     require_modes(u.entries.shape, n_a)
-    n, m = n_a + 2, n_a + 4
-    if y.m != m or y.n != n:
-        raise ContractViolationError(
-            f"outcome must have {n} photons over {m} modes, got {y.n} over {y.m}"
-        )
-    cols = [label - 1 for label in to_labeling(y).labels]
-    denom = 1.0
-    for occ in y.occupations:
-        denom *= math.factorial(occ)
+    (a1, a2, _), (a3, a4, _) = bell_input_branches(1, n_a), bell_input_branches(3, n_a)
+    _check_pair(u, a1, y)
+    cols = _labels(y)
+    denom = _factorial_product(y)
     return np.array(
-        [permanent(u.entries[np.ix_(rows, cols)]) / denom for rows in _bell_row_sets(n_a)]
+        [permanent(u.entries[np.ix_(_labels(branch), cols)]) / denom
+         for branch in (a1, a2, a3, a4)]
     )
 
 
@@ -282,7 +262,7 @@ def _insertion_targets(n_photons: int, n_modes: int) -> np.ndarray:
     raises r_k by one for every k < j, and each such k adds
     C(r_k + M-2-k, M-2-k) to the rank.
     """
-    occ = occupation_array(n_photons, n_modes)
+    occ = enumerate_outcomes(n_photons, n_modes)
     after = n_photons - np.cumsum(occ[:, :-1], axis=1, dtype=np.intp)
     lower = np.arange(n_modes - 2, -1, -1)  # M-2-k for k < M-1
     binomials = np.array([[math.comb(r + c, c) for c in range(n_modes - 1)]
@@ -341,7 +321,7 @@ def _creation_step(rows: np.ndarray, vec: np.ndarray, level: int, n_modes: int) 
 @lru_cache(maxsize=None)
 def _bosonic_factor_array(n_photons: int, n_modes: int) -> np.ndarray:
     factorials = np.array([math.factorial(k) for k in range(n_photons + 1)])
-    return read_only(0.5 * factorials[occupation_array(n_photons, n_modes)].prod(axis=1))
+    return read_only(0.5 * factorials[enumerate_outcomes(n_photons, n_modes)].prod(axis=1))
 
 
 def _cascade(u: np.ndarray, n_a: int):

@@ -61,4 +61,4 @@ def test_enumerate_probe_builds_the_cached_states():
     from bellopt.fock import enumerate_outcomes
 
     assert callable(enumerate_outcomes.__wrapped__)
-    assert enumerate_outcomes.__wrapped__(4, 6) == enumerate_outcomes(4, 6)
+    assert np.array_equal(enumerate_outcomes.__wrapped__(4, 6), enumerate_outcomes(4, 6))

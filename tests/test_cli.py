@@ -58,6 +58,9 @@ def test_sample_then_check_haar_fails(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "failing columns" in out
+    lines = out.splitlines()
+    assert "bunched scan: 325 outcomes, clause A: 0, ambiguous: 325" in lines
+    assert "worst ambiguous outcome: (0,1,0,0,0,0,7,0,0,0) mass=1.103e-03" in lines
 
 
 def test_evaluate_identity(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from bellopt.cli import main
 from bellopt.conditions import check_column_conditions, scan_bunched_two_mode
 from bellopt.errors import ContractViolationError
-from bellopt.fock import FockState
 from bellopt.optimizer import gradient, objective
 from bellopt.transfer import (
     CircuitMatrix,
@@ -33,7 +32,7 @@ def _params(u: CircuitMatrix) -> CircuitParams:
 
 
 ENTRY_POINTS = {
-    "bell_amplitudes": lambda u, n_a: bell_amplitudes(u, FockState((1, 1, 0, 0)), n_a),
+    "bell_amplitudes": lambda u, n_a: bell_amplitudes(u, (1, 1, 0, 0), n_a),
     "bell_amplitude_arrays": lambda u, n_a: bell_amplitude_arrays(u.entries, n_a),
     "bell_probability_pullback": lambda u, n_a: bell_probability_pullback(u.entries, n_a),
     "outcome_table": outcome_table,

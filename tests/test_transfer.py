@@ -7,13 +7,7 @@ import pytest
 
 from bellopt.conditions import _bunched_indices
 from bellopt.errors import ContractViolationError, InvalidMatrixError, OracleScaleError
-from bellopt.fock import (
-    FockState,
-    bosonic_factor,
-    enumerate_outcomes,
-    occupation_array,
-    outcome_count,
-)
+from bellopt.fock import enumerate_outcomes, outcome_count
 from bellopt.transfer import (
     _GATHER_BLOCK,
     CircuitMatrix,
@@ -124,14 +118,14 @@ def test_permanent_matches_naive_sum():
 
 def test_amplitude_identity():
     u = CircuitMatrix(np.eye(4))
-    state = FockState((1, 1, 0, 0))
+    state = (1, 1, 0, 0)
     assert amplitude(u, state, state) == pytest.approx(1.0)
 
 
 def test_hong_ou_mandel_suppression():
     bs = splitter_50_50()
-    assert amplitude(bs, FockState((1, 1)), FockState((1, 1))) == pytest.approx(0.0, abs=1e-15)
-    a20 = amplitude(bs, FockState((1, 1)), FockState((2, 0)))
+    assert amplitude(bs, (1, 1), (1, 1)) == pytest.approx(0.0, abs=1e-15)
+    a20 = amplitude(bs, (1, 1), (2, 0))
     assert a20 == pytest.approx(1 / math.sqrt(2))
     assert abs(a20) ** 2 == pytest.approx(0.5)
 
@@ -139,9 +133,9 @@ def test_hong_ou_mandel_suppression():
 def test_amplitude_photon_mismatch_is_contract_violation():
     u = CircuitMatrix(np.eye(3))
     with pytest.raises(ContractViolationError):
-        amplitude(u, FockState((1, 0, 0)), FockState((1, 1, 0)))
+        amplitude(u, (1, 0, 0), (1, 1, 0))
     with pytest.raises(ContractViolationError):
-        amplitude(u, FockState((1, 0)), FockState((1, 0, 0)))
+        amplitude(u, (1, 0), (1, 0, 0))
 
 
 @pytest.mark.parametrize("n_a", [0, 2, 4, 6])
@@ -149,9 +143,8 @@ def test_array_tables_match_the_per_state_reference(n_a):
     m = n_a + 4
     levels = [list(reference_compositions(level, m)) for level in range(n_a + 3)]
     for level, states in enumerate(levels):
-        occ = occupation_array(level, m)
+        occ = enumerate_outcomes(level, m)
         assert [tuple(row) for row in occ.tolist()] == states
-        assert [s.occupations for s in enumerate_outcomes(level, m)] == states
         assert [reference_rank(y) for y in states] == list(range(len(states)))
         if level <= n_a + 1:
             targets = _insertion_targets(level, m)
@@ -164,13 +157,23 @@ def test_array_tables_match_the_per_state_reference(n_a):
             assert not sources.flags.writeable and sources.dtype.itemsize <= 4
             for j in range(m):
                 assert np.array_equal(sources[j, targets[j]], np.arange(len(states)))
-            empty = occupation_array(level + 1, m).T == 0
+            empty = enumerate_outcomes(level + 1, m).T == 0
             assert np.array_equal(sources == len(states), empty)
-    top = enumerate_outcomes(n_a + 2, m)
-    assert _bosonic_factor_array(n_a + 2, m).tolist() == [bosonic_factor(y) for y in top]
-    assert _bunched_indices(n_a).tolist() == [
-        i for i, y in enumerate(top) if sum(1 for k in y.occupations if k) <= 2
+    top = levels[n_a + 2]
+    assert _bosonic_factor_array(n_a + 2, m).tolist() == [
+        0.5 * math.prod(map(math.factorial, y)) for y in top
     ]
+    assert _bunched_indices(n_a).tolist() == [
+        i for i, y in enumerate(top) if sum(1 for k in y if k) <= 2
+    ]
+
+
+def test_bosonic_factor_examples():
+    for occ, factor in (((1, 1, 0, 0), 0.5), ((1, 0, 1, 0), 0.5),
+                        ((2, 0, 0, 0), 1.0), ((3, 1, 0, 0), 3.0)):
+        n, m = sum(occ), len(occ)
+        row = enumerate_outcomes(n, m).tolist().index(list(occ))
+        assert _bosonic_factor_array(n, m)[row] == factor
 
 
 def test_cached_tables_are_read_only():
@@ -178,7 +181,7 @@ def test_cached_tables_are_read_only():
     # and gradient in the process.
     n_a, m = 2, 6
     tables = {
-        "occupation_array": occupation_array(n_a + 2, m),
+        "enumerate_outcomes": enumerate_outcomes(n_a + 2, m),
         "_insertion_targets": _insertion_targets(n_a + 1, m),
         "_insertion_sources": _insertion_sources(n_a + 1, m),
         "_bosonic_factor_array": _bosonic_factor_array(n_a + 2, m),
@@ -191,22 +194,22 @@ def test_cached_tables_are_read_only():
 
 def test_oracle_identity_and_splitter():
     assert amplitude_oracle(
-        CircuitMatrix(np.eye(3)), FockState((1, 1, 0)), FockState((1, 1, 0))
+        CircuitMatrix(np.eye(3)), (1, 1, 0), (1, 1, 0)
     ) == pytest.approx(1.0)
     assert amplitude_oracle(
-        splitter_50_50(), FockState((1, 1)), FockState((2, 0))
+        splitter_50_50(), (1, 1), (2, 0)
     ) == pytest.approx(1 / math.sqrt(2))
 
 
 def test_oracle_refuses_beyond_desk_scale():
     u = CircuitMatrix(np.eye(6))
     with pytest.raises(OracleScaleError):
-        amplitude_oracle(u, FockState((1, 1, 1, 1, 1, 0)), FockState((1, 1, 1, 1, 1, 0)))
+        amplitude_oracle(u, (1, 1, 1, 1, 1, 0), (1, 1, 1, 1, 1, 0))
     with pytest.raises(OracleScaleError):
         amplitude_oracle(
             CircuitMatrix(np.eye(7)),
-            FockState((1, 0, 0, 0, 0, 0, 0)),
-            FockState((1, 0, 0, 0, 0, 0, 0)),
+            (1, 0, 0, 0, 0, 0, 0),
+            (1, 0, 0, 0, 0, 0, 0),
         )
 
 
@@ -216,10 +219,10 @@ def test_amplitude_matches_oracle_on_random_subunitaries():
         m = int(rng.integers(2, 7))
         n = int(rng.integers(1, min(4, m) + 1))
         u = random_subunitary(m, 1000 + seed)
-        states = enumerate_outcomes(n, m)
+        states = enumerate_outcomes(n, m).tolist()
         for _ in range(3):
-            src = states[rng.integers(len(states))]
-            dst = states[rng.integers(len(states))]
+            src = tuple(states[rng.integers(len(states))])
+            dst = tuple(states[rng.integers(len(states))])
             assert amplitude(u, src, dst) == pytest.approx(
                 amplitude_oracle(u, src, dst), abs=1e-10
             )
@@ -229,41 +232,39 @@ def test_unitary_norm_preservation():
     rng = np.random.default_rng(11)
     for m, n in ((4, 2), (5, 3), (6, 4)):
         u = haar_random_unitary(m, int(rng.integers(1 << 31)))
-        src = enumerate_outcomes(n, m)[0]
-        total = sum(
-            abs(amplitude(u, src, dst)) ** 2 for dst in enumerate_outcomes(n, m)
-        )
+        states = [tuple(row) for row in enumerate_outcomes(n, m).tolist()]
+        total = sum(abs(amplitude(u, states[0], dst)) ** 2 for dst in states)
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bell_amplitudes_identity_examples():
     ident = CircuitMatrix(np.eye(4))
-    amps = bell_amplitudes(ident, FockState((1, 0, 1, 0)), 0)
+    amps = bell_amplitudes(ident, (1, 0, 1, 0), 0)
     assert amps == pytest.approx([1, 0, 0, 0])
-    amps = bell_amplitudes(ident, FockState((2, 0, 0, 0)), 0)
+    amps = bell_amplitudes(ident, (2, 0, 0, 0), 0)
     assert amps == pytest.approx([0, 0, 0, 0])
-    amps = bell_amplitudes(ident, FockState((1, 0, 0, 1)), 0)
+    amps = bell_amplitudes(ident, (1, 0, 0, 1), 0)
     assert amps == pytest.approx([0, 0, 1, 0])
 
 
 def test_bell_amplitudes_dimension_checks():
     with pytest.raises(ContractViolationError):
-        bell_amplitudes(CircuitMatrix(np.eye(4)), FockState((1, 0, 1, 0)), 2)
+        bell_amplitudes(CircuitMatrix(np.eye(4)), (1, 0, 1, 0), 2)
     with pytest.raises(ContractViolationError):
-        bell_amplitudes(CircuitMatrix(np.eye(4)), FockState((2, 0, 1, 0)), 0)
+        bell_amplitudes(CircuitMatrix(np.eye(4)), (2, 0, 1, 0), 0)
 
 
 def test_outcome_table_identity():
     table = outcome_table(CircuitMatrix(np.eye(4)), 0)
-    rows = dict(zip(table.states, table.p))
-    assert rows[FockState((1, 0, 1, 0))] == pytest.approx([0.5, 0.5, 0, 0])
-    assert rows[FockState((0, 1, 0, 1))] == pytest.approx([0.5, 0.5, 0, 0])
-    assert rows[FockState((1, 0, 0, 1))] == pytest.approx([0, 0, 0.5, 0.5])
-    assert rows[FockState((0, 1, 1, 0))] == pytest.approx([0, 0, 0.5, 0.5])
+    rows = dict(zip(map(tuple, table.occupations.tolist()), table.p))
+    assert rows[(1, 0, 1, 0)] == pytest.approx([0.5, 0.5, 0, 0])
+    assert rows[(0, 1, 0, 1)] == pytest.approx([0.5, 0.5, 0, 0])
+    assert rows[(1, 0, 0, 1)] == pytest.approx([0, 0, 0.5, 0.5])
+    assert rows[(0, 1, 1, 0)] == pytest.approx([0, 0, 0.5, 0.5])
     assert table.garbage == pytest.approx([0, 0, 0, 0])
     # every other outcome carries nothing for x = 1
     for state, row in rows.items():
-        if state.occupations not in {(1, 0, 1, 0), (0, 1, 0, 1)}:
+        if state not in {(1, 0, 1, 0), (0, 1, 0, 1)}:
             assert row[0] == 0.0
 
 
@@ -275,9 +276,8 @@ def test_outcome_table_zero_matrix_leaks_everything():
 
 def test_outcome_table_identity_bunching_is_exact_zero():
     table = outcome_table(CircuitMatrix(np.eye(6)), 2)
-    for state, row in zip(table.states, table.p):
-        if max(state.occupations) >= 2:
-            assert all(p == 0.0 for p in row)
+    bunched = table.occupations.max(axis=1) >= 2
+    assert bunched.any() and (table.p[bunched] == 0.0).all()
 
 
 def test_outcome_table_columns_normalized_haar():
@@ -302,11 +302,10 @@ def test_bell_probabilities_consistent_with_branch_amplitudes(n_a):
     """p(y|x) from the four permanent sums equals the direct two-branch evaluation."""
     u = random_subunitary(n_a + 4, seed=7 + n_a)
     table = outcome_table(u, n_a)
-    for state, row in zip(table.states, table.p):
+    for state, row in zip(map(tuple, table.occupations.tolist()), table.p):
         amps = bell_amplitudes(u, state, n_a)
-        assert row == pytest.approx(
-            outcome_probabilities(amps, bosonic_factor(state)), abs=1e-10
-        )
+        c = 0.5 * math.prod(map(math.factorial, state))
+        assert row == pytest.approx(outcome_probabilities(amps, c), abs=1e-10)
         for x in (1, 2, 3, 4):
             branch_a, branch_b, sign = bell_input_branches(x, n_a)
             amp = (
