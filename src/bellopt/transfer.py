@@ -128,6 +128,9 @@ def _check_pair(u: CircuitMatrix, input_state: tuple[int, ...],
             f"mode counts disagree: input {len(input_state)}, output {len(output_state)}, "
             f"matrix {u.m}"
         )
+    for k in (*input_state, *output_state):
+        if not hasattr(type(k), "__index__") or k < 0:
+            raise ContractViolationError(f"occupations must be non-negative integers, got {k!r}")
     if sum(input_state) != sum(output_state):
         raise ContractViolationError(
             f"photon number not conserved: input {sum(input_state)}, "

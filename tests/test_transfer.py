@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bellopt.conditions import _bunched_indices
 from bellopt.errors import ContractViolationError, InvalidMatrixError, OracleScaleError
@@ -15,6 +17,7 @@ from bellopt.transfer import (
     _cascade,
     _insertion_sources,
     _insertion_targets,
+    _labels,
     amplitude,
     amplitude_oracle,
     bell_amplitudes,
@@ -138,6 +141,32 @@ def test_amplitude_photon_mismatch_is_contract_violation():
         amplitude(u, (1, 0), (1, 0, 0))
 
 
+def test_negative_occupation_is_rejected():
+    u = CircuitMatrix(np.eye(2))
+    with pytest.raises(ContractViolationError):
+        amplitude(u, (2, -1), (1, 0))
+    with pytest.raises(ContractViolationError):
+        amplitude_oracle(u, (1, 0), (2, -1))
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, np.float64(2.0), "1", None])
+def test_non_integers_are_rejected(bad):
+    u = CircuitMatrix(np.eye(4))
+    with pytest.raises(ContractViolationError):
+        amplitude(u, (bad, 0, 0, 0), (1, 0, 0, 0))
+    with pytest.raises(ContractViolationError):
+        amplitude_oracle(u, (1, 0, 0, 0), (bad, 0, 0, 0))
+    with pytest.raises(ContractViolationError):
+        bell_amplitudes(u, (bad, 1, 0, 0), 0)
+
+
+def test_numpy_integers_are_accepted():
+    u = random_subunitary(4, seed=5)
+    y = (np.int64(2), np.uint8(0), np.intp(0), 0)
+    assert amplitude(u, (1, 1, 0, 0), y) == amplitude(u, (1, 1, 0, 0), (2, 0, 0, 0))
+    assert np.array_equal(bell_amplitudes(u, y, 0), bell_amplitudes(u, (2, 0, 0, 0), 0))
+
+
 @pytest.mark.parametrize("n_a", [0, 2, 4, 6])
 def test_array_tables_match_the_per_state_reference(n_a):
     m = n_a + 4
@@ -174,6 +203,30 @@ def test_bosonic_factor_examples():
         n, m = sum(occ), len(occ)
         row = enumerate_outcomes(n, m).tolist().index(list(occ))
         assert _bosonic_factor_array(n, m)[row] == factor
+
+
+@pytest.mark.parametrize(
+    "occ,labels",
+    [((1, 0, 1, 0), (0, 2)), ((3, 0), (0, 0, 0)), ((0, 2, 1), (1, 1, 2))],
+)
+def test_labels_examples(occ, labels):
+    assert tuple(_labels(occ).tolist()) == labels
+
+
+@given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5))
+def test_labels_round_trip(occupations):
+    labels = _labels(tuple(occupations))
+    assert (np.diff(labels) >= 0).all()
+    assert np.bincount(labels, minlength=len(occupations)).tolist() == occupations
+
+
+@pytest.mark.parametrize("n,m", [(0, 3), (2, 4), (3, 4), (4, 5)])
+def test_label_arrangements_match_bosonic_factor(n, m):
+    """Each row has n!/prod(k!) = n!/(2c) distinct photon-to-mode arrangements."""
+    factors = _bosonic_factor_array(n, m)
+    for occ, c in zip(enumerate_outcomes(n, m).tolist(), factors):
+        arrangements = set(itertools.permutations(_labels(tuple(occ)).tolist()))
+        assert len(arrangements) * 2 * c == math.factorial(n)
 
 
 def test_cached_tables_are_read_only():
