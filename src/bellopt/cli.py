@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -35,7 +34,7 @@ from bellopt.errors import (
     UnsupportedConfigurationError,
 )
 from bellopt.infometrics import mutual_information
-from bellopt.optimizer import OptimizerConfig, optimize
+from bellopt.optimizer import OptimizerConfig, _usable_cpus, optimize
 from bellopt.transfer import outcome_table
 from bellopt.unitary import (
     RNG_ALGORITHM,
@@ -77,11 +76,6 @@ def _matrix_payload(matrix) -> dict:
         "m": matrix.m,
         "entries": [[float(z.real), float(z.imag)] for z in matrix.entries.ravel()],
     }
-
-
-def _print_report(report) -> None:
-    for name, value in asdict(report).items():
-        print(f"{name} = {value:.6f}")
 
 
 def _heartbeat():
@@ -152,8 +146,8 @@ def cmd_optimize(ns: argparse.Namespace) -> int:
 def cmd_evaluate(ns: argparse.Namespace) -> int:
     matrix = read_matrix_file(ns.matrix)
     table = outcome_table(matrix, ns.na)
-    report = mutual_information(table)
-    _print_report(report)
+    for name, value in asdict(mutual_information(table)).items():
+        print(f"{name} = {value:.6f}")
     if ns.table:
         payload = {
             "manifest": _manifest(ns, {"na": ns.na, "matrix": str(ns.matrix)},
@@ -185,10 +179,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def cmd_conditions(ns: argparse.Namespace) -> int:
-    comparison = conditioned_vs_unconditioned_experiment(ns.na, ns.trials, ns.seed)
+    populations = conditioned_vs_unconditioned_experiment(ns.na, ns.trials, ns.seed)
     manifest = _manifest(ns, {"na": ns.na, "trials": ns.trials}, [],
                          [f"{ns.out}.csv", f"{ns.out}.json"])
-    populations = (comparison.conditioned, comparison.unconditioned)
     _write_csv(f"{ns.out}.csv", manifest, "population,trial,h_mutual,bunched_mass", (
         f"{pop.label},{t},{h:.17g},{mass:.17g}"
         for pop in populations
@@ -206,16 +199,14 @@ def cmd_check(ns: argparse.Namespace) -> int:
     matrix = read_matrix_file(ns.matrix)
     verdicts = check_column_conditions(matrix, ns.na, tol=ns.tol)
     scan = scan_bunched_two_mode(matrix, ns.na, tol=ns.tol)
-    failing = []
     for verdict in verdicts:
         satisfied = ",".join(sorted(verdict.satisfied)) or "-"
         print(
             f"column {verdict.column:2d}: satisfied={{{satisfied}}} "
-            f"ancilla_zeros={list(verdict.witness.ancilla_zero_rows)} "
-            f"qubit_zeros={list(verdict.witness.qubit_zero_rows)}"
+            f"ancilla_zeros={list(verdict.ancilla_zero_rows)} "
+            f"qubit_zeros={list(verdict.qubit_zero_rows)}"
         )
-        if not verdict.satisfied:
-            failing.append(verdict.column)
+    failing = [verdict.column for verdict in verdicts if not verdict.satisfied]
     ambiguous = [v for v in scan if v.ambiguous]
     print(
         f"bunched scan: {len(scan)} outcomes, "
@@ -245,11 +236,11 @@ def cmd_sample(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _output_paths(ns: argparse.Namespace) -> list[Path]:
+    """Every file the command writes."""
+    if ns.command == "conditions":
+        return [Path(f"{ns.out}.csv"), Path(f"{ns.out}.json")]
+    return [Path(p) for p in (getattr(ns, "out", None), getattr(ns, "table", None)) if p]
 
 
 def _parse_na_list(text: str) -> tuple[int, ...]:
@@ -351,10 +342,11 @@ def main(argv=None) -> int:
         if getattr(ns, "na", 0) < 0:
             raise ContractViolationError(f"na must be >= 0, got {ns.na}")
         # Output paths are checked before any work, so a typo cannot cost a run.
-        for path in (getattr(ns, "out", None), getattr(ns, "table", None)):
-            if path is not None and not Path(path).parent.is_dir():
-                raise ContractViolationError(
-                    f"output directory does not exist: {Path(path).parent}")
+        for path in _output_paths(ns):
+            if not path.parent.is_dir():
+                raise ContractViolationError(f"output directory does not exist: {path.parent}")
+            if path.is_dir():
+                raise ContractViolationError(f"output path is a directory: {path}")
         return ns.func(ns)
     except (
         MatrixFileError,

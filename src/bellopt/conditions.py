@@ -14,7 +14,9 @@ amplitudes: the bunched rows of one run of the whole-alphabet cascade in
 Ryser permanents (:func:`classify_outcome`, the scan's test reference).
 Outcomes are occupation rows of :func:`bellopt.fock.enumerate_outcomes`, and
 each verdict names its outcome as a tuple of ints. The column checker reads
-the zero pattern as boolean masks.
+the zero pattern as boolean masks, and each column verdict lists the zero
+rows behind it. The random-analyzer experiment returns its conditioned and
+unconditioned populations as a pair.
 
 Zero means "below ``tol``" throughout; the threshold is a knob surfaced in
 every report because near-perfect analyzers only need near-zeros.
@@ -70,28 +72,20 @@ class OutcomeVerdict:
 
 
 @dataclass
-class ColumnWitness:
-    """Zero entries backing a column verdict. All indices 1-based.
+class ColumnVerdict:
+    """Which structural conditions a column satisfies, and the zeros behind them.
 
-    ``ancilla_zero_rows`` and ``qubit_zero_rows`` list zeros in the checked
-    column itself; ``cross_zero_rows`` maps every other column to the zero
-    rows available there for the alternation clauses (restricted to qubit
-    rows and this column's ancilla witness set).
+    All indices are 1-based. ``ancilla_zero_rows`` and ``qubit_zero_rows``
+    list zeros in the column itself; ``cross_zero_rows`` maps every other
+    column to the zero rows available there for the alternation clauses
+    (restricted to qubit rows and this column's ancilla witness set).
     """
 
     column: int
+    satisfied: frozenset[str]
     ancilla_zero_rows: tuple[int, ...]
     qubit_zero_rows: tuple[int, ...]
     cross_zero_rows: dict[int, tuple[int, ...]]
-
-
-@dataclass
-class ColumnVerdict:
-    """Which structural conditions a column satisfies."""
-
-    column: int
-    satisfied: frozenset[str]
-    witness: ColumnWitness
 
 
 def _zeros(values: np.ndarray, tol: float) -> np.ndarray:
@@ -217,20 +211,19 @@ def check_column_conditions(
         "IV": (n_s >= 1) & q12 & q34 & (q12 | q34 | cross_s).all(axis=1),
     }
     qubit = np.arange(u.m) >= n_a
-    verdicts = []
-    for col in range(u.m):
-        witness_rows = zeros[:, col] | qubit
-        witness = ColumnWitness(
+    witness_rows = zeros | qubit[:, None]  # column col: its zero rows and the qubit rows
+    return [
+        ColumnVerdict(
             column=col + 1,
+            satisfied=frozenset(name for name, holds in conditions.items() if holds[col]),
             ancilla_zero_rows=_rows(anc[:, col]),
             qubit_zero_rows=_rows(zeros[:, col] & qubit),
             cross_zero_rows={
-                l + 1: _rows(witness_rows & zeros[:, l]) for l in range(u.m) if l != col
+                l + 1: _rows(witness_rows[:, col] & zeros[:, l]) for l in range(u.m) if l != col
             },
         )
-        satisfied = frozenset(name for name, holds in conditions.items() if holds[col])
-        verdicts.append(ColumnVerdict(column=col + 1, satisfied=satisfied, witness=witness))
-    return verdicts
+        for col in range(u.m)
+    ]
 
 
 @dataclass
@@ -256,22 +249,14 @@ class PopulationResult:
         }
 
 
-@dataclass
-class ExperimentComparison:
-    """Conditioned vs unconditioned random-analyzer comparison."""
-
-    trials: int
-    conditioned: PopulationResult
-    unconditioned: PopulationResult
-
-
 def conditioned_vs_unconditioned_experiment(
     n_a: int, trials: int, seed: int
-) -> ExperimentComparison:
+) -> tuple[PopulationResult, PopulationResult]:
     """Sample both populations and record mutual information and bunched mass.
 
-    Trial seeds are drawn once from a generator seeded with ``seed``, so the
-    experiment is reproducible as a whole.
+    Returns the (conditioned, unconditioned) populations. Trial seeds are
+    drawn once from a generator seeded with ``seed``, so the experiment is
+    reproducible as a whole.
     """
     if trials < 1:
         raise ContractViolationError(f"trials must be >= 1, got {trials}")
@@ -289,8 +274,4 @@ def conditioned_vs_unconditioned_experiment(
             table = outcome_table(u, n_a)
             pop.h_mutual.append(mutual_information(table).h_mutual)
             pop.bunched_mass.append(float(table.p[_bunched_indices(n_a)].sum()))
-    return ExperimentComparison(
-        trials=trials,
-        conditioned=conditioned,
-        unconditioned=unconditioned,
-    )
+    return conditioned, unconditioned

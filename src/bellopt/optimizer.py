@@ -14,6 +14,7 @@ seeded multi-start with a deterministic reduction.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -118,12 +119,8 @@ class OptimizationResult:
     best_matrix: CircuitMatrix
     report: InfoReport
     per_restart: list[RestartRecord]
+    best_restart: RestartRecord
     wall_time: float
-
-    @property
-    def best_restart(self) -> RestartRecord:
-        best = min(self.per_restart, key=lambda r: (-r.h_mutual, r.restart))
-        return best
 
 
 def _objective_vectors(vectors: np.ndarray, n_a: int) -> np.ndarray:
@@ -261,16 +258,25 @@ def _run_restart(cfg: OptimizerConfig, index: int) -> tuple[RestartRecord, np.nd
     return RestartRecord(restart=index, h_mutual=H_X_BITS - f, **stats), x
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def optimize(cfg: OptimizerConfig, progress=None) -> OptimizationResult:
     """Multi-start quasi-Newton run; returns the best analyzer found.
 
     Restart i draws its start from the i-th spawn of SeedSequence(cfg.seed),
     so results do not depend on the level of parallelism, and ties between
-    restarts break toward the lowest index. ``progress``, if given, is called
-    with (record, done_count, total) as restarts finish.
+    restarts break toward the lowest index. At most one worker process runs
+    per restart and per usable CPU, whatever ``cfg.parallelism`` asks for.
+    ``progress``, if given, is called with (record, done_count, total) as
+    restarts finish.
     """
     t0 = time.perf_counter()
-    workers = min(cfg.parallelism, cfg.restarts)
+    workers = min(cfg.parallelism, cfg.restarts, _usable_cpus())
     records: list[RestartRecord] = []
     vectors: list[np.ndarray] = []
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
@@ -281,8 +287,8 @@ def optimize(cfg: OptimizerConfig, progress=None) -> OptimizationResult:
             if progress is not None:
                 progress(record, len(records), cfg.restarts)
 
-    best_index = min(range(cfg.restarts), key=lambda i: (-records[i].h_mutual, i))
-    best_params = CircuitParams.from_vector(vectors[best_index], cfg.m)
+    best = min(records, key=lambda r: (-r.h_mutual, r.restart))
+    best_params = CircuitParams.from_vector(vectors[best.restart], cfg.m)
     best_matrix = params_to_matrix(best_params)
     report = mutual_information(outcome_table(best_matrix, cfg.n_a))
     return OptimizationResult(
@@ -290,5 +296,6 @@ def optimize(cfg: OptimizerConfig, progress=None) -> OptimizationResult:
         best_matrix=best_matrix,
         report=report,
         per_restart=records,
+        best_restart=best,
         wall_time=time.perf_counter() - t0,
     )

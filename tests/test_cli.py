@@ -63,6 +63,46 @@ def test_sample_then_check_haar_fails(tmp_path, capsys):
     assert "worst ambiguous outcome: (0,1,0,0,0,0,7,0,0,0) mass=1.103e-03" in lines
 
 
+CHECK_STDOUT_NA4 = {
+    "conditioned": (0, """\
+column  1: satisfied={I,II,III,IV} ancilla_zeros=[2, 3, 4] qubit_zeros=[5, 6, 7, 8]
+column  2: satisfied={I,III} ancilla_zeros=[1, 3, 4] qubit_zeros=[7, 8]
+column  3: satisfied={I,III} ancilla_zeros=[1, 3, 4] qubit_zeros=[7, 8]
+column  4: satisfied={I,III} ancilla_zeros=[1, 3, 4] qubit_zeros=[7, 8]
+column  5: satisfied={II} ancilla_zeros=[1, 2] qubit_zeros=[5, 6]
+column  6: satisfied={II} ancilla_zeros=[1, 2] qubit_zeros=[5, 6]
+column  7: satisfied={II} ancilla_zeros=[1, 2] qubit_zeros=[5, 6]
+column  8: satisfied={II} ancilla_zeros=[1, 2] qubit_zeros=[5, 6]
+bunched scan: 148 outcomes, clause A: 148, ambiguous: 0
+PASS
+"""),
+    "haar": (1, """\
+column  1: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  2: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  3: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  4: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  5: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  6: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  7: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  8: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+bunched scan: 148 outcomes, clause A: 0, ambiguous: 148
+failing columns: [1, 2, 3, 4, 5, 6, 7, 8]
+worst ambiguous outcome: (0,5,1,0,0,0,0,0) mass=9.081e-03
+FAIL
+"""),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHECK_STDOUT_NA4))
+def test_check_stdout_is_pinned(tmp_path, capsys, kind):
+    path = tmp_path / "u.json"
+    assert run_cli(["sample", "--na", 4, "--seed", 5, "--kind", kind, "--out", path]) == 0
+    capsys.readouterr()
+    code, expected = CHECK_STDOUT_NA4[kind]
+    assert run_cli(["check", "--matrix", path, "--na", 4]) == code
+    assert capsys.readouterr().out == expected
+
+
 def test_evaluate_identity(tmp_path, capsys):
     path = tmp_path / "ident.json"
     write_matrix_file(path, CircuitMatrix(np.eye(4)))
@@ -219,9 +259,14 @@ def test_out_of_range_run_value_is_a_one_line_error(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["optimize", "sweep", "conditions", "evaluate"])
+@pytest.mark.parametrize(("command", "taken"), [
+    *(pytest.param(command, False, id=command)
+      for command in ("optimize", "sweep", "conditions", "evaluate")),
+    *(pytest.param(command, True, id=f"{command}-directory")
+      for command in ("optimize", "sweep", "conditions", "evaluate")),
+])
 def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
-                                                        command):
+                                                        command, taken):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the output path was checked")
 
@@ -229,19 +274,30 @@ def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkey
         monkeypatch.setattr(cli, name, refuse)
     matrix = tmp_path / "u.json"
     write_matrix_file(matrix, haar_random_unitary(4, 1))
-    missing = tmp_path / "missing"
+    # Either the output's directory is missing, or the output path is a directory.
+    where = tmp_path if taken else tmp_path / "missing"
+    name, written = {
+        "optimize": ("r.json", "r.json"),
+        "sweep": ("s.csv", "s.csv"),
+        "conditions": ("c", "c.json"),  # BASE.json, the second file written
+        "evaluate": ("t.json", "t.json"),
+    }[command]
+    if taken:
+        (tmp_path / written).mkdir()
+    out = where / name
     args = {
-        "optimize": ["--na", 0, "--restarts", 2, "--parallelism", 1, "--out", missing / "r.json"],
-        "sweep": ["--na-list", "0", "--restarts", 2, "--parallelism", 1,
-                  "--out", missing / "s.csv"],
-        "conditions": ["--na", 4, "--trials", 1, "--out", missing / "c"],
-        "evaluate": ["--matrix", matrix, "--na", 0, "--table", missing / "t.json"],
+        "optimize": ["--na", 0, "--restarts", 2, "--parallelism", 1, "--out", out],
+        "sweep": ["--na-list", "0", "--restarts", 2, "--parallelism", 1, "--out", out],
+        "conditions": ["--na", 4, "--trials", 1, "--out", out],
+        "evaluate": ["--matrix", matrix, "--na", 0, "--table", out],
     }[command]
     assert run_cli([command, *args]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: output directory does not exist: {missing}\n"
+    expected = (f"output path is a directory: {tmp_path / written}" if taken
+                else f"output directory does not exist: {where}")
+    assert captured.err == f"error: {expected}\n"
     assert captured.out == ""
-    assert not missing.exists()
+    assert sorted(tmp_path.iterdir()) == sorted([matrix, *[tmp_path / written] * taken])
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])

@@ -297,10 +297,9 @@ def test_column_conditions_match_the_per_column_reference():
         entries[rng.uniform(size=(m, m)) < rng.uniform(0.3, 0.9)] = 0.0
         zeros = np.abs(entries) < 1e-10
         for verdict in check_column_conditions(CircuitMatrix(entries), n_a):
-            witness = verdict.witness
             assert (
-                set(verdict.satisfied), witness.ancilla_zero_rows,
-                witness.qubit_zero_rows, witness.cross_zero_rows,
+                set(verdict.satisfied), verdict.ancilla_zero_rows,
+                verdict.qubit_zero_rows, verdict.cross_zero_rows,
             ) == _reference_column(zeros, n_a, verdict.column - 1)
             seen.add(verdict.satisfied)
     # Every condition is met on its own somewhere, and none is met somewhere.
@@ -312,9 +311,9 @@ def test_witness_entries_are_real_zeros():
     tol = 1e-10
     for verdict in check_column_conditions(u, 6, tol=tol):
         col = verdict.column - 1
-        for row in verdict.witness.ancilla_zero_rows + verdict.witness.qubit_zero_rows:
+        for row in verdict.ancilla_zero_rows + verdict.qubit_zero_rows:
             assert abs(u.entries[row - 1, col]) < tol
-        for other_col, rows in verdict.witness.cross_zero_rows.items():
+        for other_col, rows in verdict.cross_zero_rows.items():
             for row in rows:
                 assert abs(u.entries[row - 1, other_col - 1]) < tol
 
@@ -339,15 +338,14 @@ def test_bad_tol_is_rejected_by_the_library(tol):
 
 
 def test_experiment_small_run():
-    comparison = conditioned_vs_unconditioned_experiment(4, trials=3, seed=9)
-    assert comparison.trials == 3
-    assert len(comparison.conditioned.h_mutual) == 3
-    assert max(comparison.conditioned.bunched_mass) < 1e-15
-    assert all(h <= 2.0 + 1e-9 for h in comparison.conditioned.h_mutual)
-    assert all(h <= 2.0 + 1e-9 for h in comparison.unconditioned.h_mutual)
+    conditioned, unconditioned = conditioned_vs_unconditioned_experiment(4, trials=3, seed=9)
+    assert (conditioned.label, unconditioned.label) == ("conditioned", "unconditioned")
+    for pop in (conditioned, unconditioned):
+        assert len(pop.h_mutual) == len(pop.bunched_mass) == 3
+        assert all(h <= 2.0 + 1e-9 for h in pop.h_mutual)
+    assert max(conditioned.bunched_mass) < 1e-15
     again = conditioned_vs_unconditioned_experiment(4, trials=3, seed=9)
-    assert again.conditioned.h_mutual == comparison.conditioned.h_mutual
-    assert again.unconditioned.bunched_mass == comparison.unconditioned.bunched_mass
+    assert again == (conditioned, unconditioned)
 
 
 def test_experiment_rejects_bad_na():

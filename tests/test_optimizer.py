@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from bellopt.errors import ContractViolationError
 from bellopt.infometrics import conditional_bits_pullback, mutual_information
 from bellopt.optimizer import (
     OptimizerConfig,
+    RestartRecord,
     _bfgs_descent,
     _gradient_vector,
     _objective_vectors,
@@ -235,6 +237,54 @@ def test_best_restart_is_stationary_or_capped():
     result = optimize(cfg)
     best = result.best_restart
     assert best.grad_norm < 10 * optimizer._GRADIENT_TOL or best.iterations == cfg.max_iterations
+
+
+def _stub_restart(cfg, index):
+    """A restart that does no descent; restarts 3 and 7 tie for the best value."""
+    record = RestartRecord(restart=index, h_mutual=1.5 if index in (3, 7) else 1.0,
+                           iterations=0, stop="gradient_tol", grad_norm=0.0, f_evals=0,
+                           grad_evals=1, backtracks=0, steepest_fallbacks=0)
+    return record, np.full(cfg.m * cfg.m, 1e-3 * index)
+
+
+@pytest.mark.parametrize(("parallelism", "restarts", "workers"), [
+    pytest.param(5000, 5000, [3], id="cpus-bound"),
+    pytest.param(5000, 8, [3], id="cpus-bound-few-restarts"),
+    pytest.param(2, 5000, [2], id="parallelism-bound"),
+    pytest.param(8, 2, [2], id="restarts-bound"),
+    pytest.param(1, 8, [], id="serial"),  # one worker runs in this process
+])
+def test_pool_is_bounded_by_restarts_and_usable_cpus(monkeypatch, parallelism, restarts,
+                                                     workers):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size and maps serially."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    # No process is started: the pool is a serial recorder and restarts are stubs.
+    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(optimizer, "_run_restart", _stub_restart)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    cfg = OptimizerConfig(n_a=0, restarts=restarts, parallelism=parallelism)
+    result = optimize(cfg)
+    assert sizes == workers
+    assert [r.restart for r in result.per_restart] == list(range(restarts))
+    # Ties break toward the lowest index, and the winner's vector is the result.
+    best = 3 if restarts > 3 else 0
+    assert result.best_restart is result.per_restart[best]
+    assert np.array_equal(result.best_params.h_gen, np.full(16, 1e-3 * best))
 
 
 def test_failed_steepest_search_is_not_repeated(monkeypatch):
