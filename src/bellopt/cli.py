@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -342,6 +343,10 @@ def main(argv=None) -> int:
         if getattr(ns, "na", 0) < 0:
             raise ContractViolationError(f"na must be >= 0, got {ns.na}")
         # Output paths are checked before any work, so a typo cannot cost a run.
+        # A base naming a directory, dd/ say, would write the hidden dd/.csv.
+        if ns.command == "conditions" and (ns.out.endswith(("/", os.sep))
+                                           or Path(ns.out).is_dir()):
+            raise ContractViolationError(f"output base names a directory: {ns.out}")
         for path in _output_paths(ns):
             if not path.parent.is_dir():
                 raise ContractViolationError(f"output directory does not exist: {path.parent}")

@@ -9,9 +9,11 @@ two-mode-bunched outcome into clause A. The column checker, not any
 particular construction, is the source of truth.
 
 One clause rule, :func:`clause_verdicts`, sorts (n, 4) arrays of branch
-amplitudes: the bunched rows of one run of the whole-alphabet cascade in
-:mod:`bellopt.transfer` (:func:`scan_bunched_two_mode`), or one outcome's
-Ryser permanents (:func:`classify_outcome`, the scan's test reference).
+amplitudes: the two-mode products of
+:func:`bellopt.transfer.two_mode_amplitudes` over the bunched rows alone
+(:func:`scan_bunched_two_mode`, which never builds the whole alphabet), or
+one outcome's Ryser permanents (:func:`classify_outcome`). The scan's test
+references are those permanents and the whole-alphabet cascade.
 Outcomes are occupation rows of :func:`bellopt.fock.enumerate_outcomes`, and
 each verdict names its outcome as a tuple of ints. The column checker reads
 the zero pattern as boolean masks, and each column verdict lists the zero
@@ -37,12 +39,12 @@ from bellopt.fock import enumerate_outcomes, read_only
 from bellopt.infometrics import mutual_information
 from bellopt.transfer import (
     CircuitMatrix,
-    _bosonic_factor_array,
-    bell_amplitude_arrays,
+    _bosonic_factors,
     bell_amplitudes,
     outcome_probabilities,
     outcome_table,
     require_modes,
+    two_mode_amplitudes,
 )
 from bellopt.unitary import haar_random_unitary, sample_conditioned_unitary
 
@@ -162,9 +164,24 @@ def _bunched_indices(n_a: int) -> np.ndarray:
     return read_only(np.flatnonzero(occupied <= 2))
 
 
+@lru_cache(maxsize=None)
 def bunched_two_mode_outcomes(n_a: int) -> np.ndarray:
-    """Every outcome with all photons in at most two modes, as alphabet rows in order."""
-    return enumerate_outcomes(n_a + 2, n_a + 4)[_bunched_indices(n_a)]
+    """Every outcome with all photons in at most two modes, as alphabet rows in order.
+
+    Built from the mode pairs, without the alphabet: each single mode holds
+    all N_a + 2 photons, and each pair i < j splits them k + (N_a + 2 - k)
+    for 0 < k < N_a + 2. Sorted lexicographically descending, as
+    :func:`bellopt.fock.enumerate_outcomes`. Read-only.
+    """
+    if n_a < 0:
+        raise ContractViolationError(f"n_a must be >= 0, got {n_a}")
+    n, m = n_a + 2, n_a + 4
+    splits = [(i, j, k) for i in range(m) for j in range(i + 1, m) for k in range(1, n)]
+    rows = np.zeros((m + len(splits), m), dtype=np.min_scalar_type(n))
+    rows[np.arange(m), np.arange(m)] = n
+    for row, (i, j, k) in zip(rows[m:], splits):
+        row[i], row[j] = k, n - k
+    return read_only(rows[np.lexsort(rows.T[::-1])[::-1]])
 
 
 def scan_bunched_two_mode(
@@ -177,10 +194,9 @@ def scan_bunched_two_mode(
     """
     require_modes(u.entries.shape, n_a)
     u.require_subunitary()
-    bunched = _bunched_indices(n_a)
-    amps = np.stack([a[bunched] for a in bell_amplitude_arrays(u.entries, n_a)], axis=-1)
-    c = _bosonic_factor_array(n_a + 2, n_a + 4)[bunched]
-    return clause_verdicts(bunched_two_mode_outcomes(n_a), amps, c, tol)
+    outcomes = bunched_two_mode_outcomes(n_a)
+    amps = two_mode_amplitudes(u.entries, n_a, outcomes)
+    return clause_verdicts(outcomes, amps, _bosonic_factors(outcomes), tol)
 
 
 def _rows(mask: np.ndarray) -> tuple[int, ...]:

@@ -31,9 +31,13 @@ class InfoReport:
 
 
 def _log2_ratio(values: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """log2(totals / values), and 0 where a value is exactly 0."""
-    positive = values > 0.0
-    return np.log2(np.where(positive, totals / np.where(positive, values, 1.0), 1.0))
+    """log2(totals / values), and 0 where a value is exactly 0, in the layout of ``values``.
+
+    The layout sets the summation order of every product with ``values``.
+    """
+    ratio = np.ones_like(values)
+    np.divide(totals, values, out=ratio, where=values > 0.0)
+    return np.log2(ratio, out=ratio)
 
 
 def conditional_bits(p_yx: np.ndarray, garbage: np.ndarray | None = None) -> np.ndarray:
@@ -42,11 +46,13 @@ def conditional_bits(p_yx: np.ndarray, garbage: np.ndarray | None = None) -> np.
     Zero-probability terms vanish by an explicit branch rather than
     epsilon-flooring, which would bias gradients near sparse tables.
     ``p_yx`` has shape (..., K, 4); an optional ``garbage`` of shape (..., 4)
-    is folded in as one extra consolidated outcome. Returns shape (...,).
+    is folded in as one extra consolidated outcome, and any strides are
+    accepted. Returns shape (...,).
     """
     p_yx = np.asarray(p_yx, dtype=np.float64)
     log_ratio = _log2_ratio(p_yx, p_yx.sum(axis=-1, keepdims=True))
-    h = (p_yx * log_ratio).sum(axis=(-1, -2)) / 4.0
+    # Summed in C order, so the value does not depend on the layout of p_yx.
+    h = np.multiply(p_yx, log_ratio, order="C").sum(axis=(-1, -2)) / 4.0
     if garbage is not None:
         garbage = np.asarray(garbage, dtype=np.float64)
         g_log_ratio = _log2_ratio(garbage, garbage.sum(axis=-1, keepdims=True))

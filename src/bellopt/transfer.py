@@ -4,11 +4,14 @@
 for the whole outcome alphabet at once. Each level is a gather: every state
 reads, for each mode, the state one level down with one photon fewer there,
 through an integer map built by rank arithmetic rather than a per-state
-lookup, and one product with the creation-operator rows sums them. This
-cascade is the only engine on the production path: the optimizer, the
-information metrics and the conditions checker all read it.
+lookup, and one product with the creation-operator rows sums them; a
+level whose rows are exactly zero on some modes gathers only the rest. This
+cascade is the engine of every outcome table: the optimizer, the
+information metrics and the conditions experiment read it.
 :func:`bell_probability_pullback` keeps its levels and runs it in reverse
-for the optimizer's gradient.
+for the optimizer's gradient. :func:`two_mode_amplitudes` runs the same
+recursion restricted to two output modes, for the bunched outcomes the
+conditions checker scans, without the rest of the alphabet.
 
 Outcomes are the rows of :func:`bellopt.fock.enumerate_outcomes`. Two
 independent routes to the same amplitudes stay here as test references; they
@@ -77,8 +80,10 @@ class OutcomeTable:
     """p(y|x) for every outcome y plus the leaked-photon probabilities.
 
     ``p`` has shape (K, 4): row i is (p(y|1), ..., p(y|4)) for the i-th
-    outcome, row i of :attr:`occupations`; ``garbage[x-1]`` is the
-    probability that input x loses at least one photon to an unmeasured mode.
+    outcome, row i of :attr:`occupations`. A table from :func:`outcome_table`
+    holds the transposed view of the cascade's (4, K) array, not a copy.
+    ``garbage[x-1]`` is the probability that input x loses at least one
+    photon to an unmeasured mode.
     """
 
     p: np.ndarray
@@ -309,22 +314,33 @@ def _creation_step(rows: np.ndarray, vec: np.ndarray, level: int, n_modes: int) 
     one (M,) or several (R, M) operator rows. The result, shape V + R +
     (K_{n+1} + 1,), is over level ``level + 1`` and again ends in a zero.
     Each block of output states is one gather through
-    :func:`_insertion_sources`, shared by every row, and one product.
+    :func:`_insertion_sources`, shared by every row, and one product; it
+    skips the modes that every row's exact zeros leave unreached.
     """
     sources = _insertion_sources(level, n_modes)
     k = sources.shape[1]
+    modes = slice(None)
+    if np.count_nonzero(rows) < rows.size:  # the cheapest test on the dense path
+        # Where the rows are exactly zero on some modes, gather only the rest.
+        modes = rows.reshape(-1, n_modes).any(axis=0)
+        rows = rows[..., modes]
     out = np.empty(vec.shape[:-1] + rows.shape[:-1] + (k + 1,), dtype=np.complex128)
     out[..., k] = 0.0
     for start in range(0, k, _GATHER_BLOCK):
         block = slice(start, min(start + _GATHER_BLOCK, k))
-        np.matmul(rows, vec.take(sources[:, block], axis=-1), out=out[..., block])
+        np.matmul(rows, vec.take(sources[modes, block], axis=-1), out=out[..., block])
     return out
+
+
+def _bosonic_factors(occ: np.ndarray) -> np.ndarray:
+    """(1/2) prod_k y_k! of each occupation row y of ``occ`` (K, M): p(y|x) over |sum|^2."""
+    factorials = np.array([math.factorial(k) for k in range(int(occ.max(initial=0)) + 1)])
+    return 0.5 * factorials[occ].prod(axis=1)
 
 
 @lru_cache(maxsize=None)
 def _bosonic_factor_array(n_photons: int, n_modes: int) -> np.ndarray:
-    factorials = np.array([math.factorial(k) for k in range(n_photons + 1)])
-    return read_only(0.5 * factorials[enumerate_outcomes(n_photons, n_modes)].prod(axis=1))
+    return read_only(_bosonic_factors(enumerate_outcomes(n_photons, n_modes)))
 
 
 def _cascade(u: np.ndarray, n_a: int):
@@ -356,6 +372,49 @@ def bell_amplitude_arrays(u_entries: np.ndarray, n_a: int) -> tuple[np.ndarray, 
     u = np.asarray(u_entries, dtype=np.complex128)
     require_modes(u.shape, n_a)
     return _cascade(u, n_a)[2]
+
+
+def two_mode_amplitudes(u_entries: np.ndarray, n_a: int, occupations) -> np.ndarray:
+    """The four branch amplitudes of outcomes with at most two occupied modes.
+
+    ``occupations`` is (B, M), each row N_a + 2 photons in at most two
+    modes; the result is (B, 4), columns (a1, a2, a3, a4) as in
+    :func:`bell_amplitude_arrays`. Let a row put k photons in mode i and the
+    rest in mode j. A branch with rows R then has amplitude the coefficient
+    of t^k in prod_{r in R} (U[r, i] t + U[r, j]): the cascade restricted to
+    two modes, run for every row and branch at once in N_a + 2 steps. For
+    k = N_a + 2 it is the top coefficient, prod_r U[r, i], whatever j is.
+    """
+    u = np.asarray(u_entries, dtype=np.complex128)
+    require_modes(u.shape, n_a)
+    occ = np.asarray(occupations)
+    n, m = n_a + 2, len(u)
+    occupied = occ > 0
+    if not (occ.ndim == 2 and occ.shape[1] == m and np.issubdtype(occ.dtype, np.integer)
+            and (occ >= 0).all() and (occ.sum(axis=1) == n).all()
+            and (occupied.sum(axis=1) <= 2).all()):
+        raise ContractViolationError(
+            f"need integer rows of {n} photons in at most two of {m} modes, "
+            f"got {occ.dtype} of shape {occ.shape}")
+    first = occupied.argmax(axis=1)
+    last = m - 1 - occupied[:, ::-1].argmax(axis=1)
+    k = occ[np.arange(len(occ)), first].astype(np.intp)
+    alpha, beta = u[:, first, None], u[:, last, None]  # (M, B, 1)
+
+    def times(poly, r):
+        """Coefficients of poly (..., B, n + 1) times (alpha[r] t + beta[r])."""
+        out = beta[r] * poly
+        out[..., 1:] += alpha[r] * poly[..., :-1]
+        return out
+
+    poly = np.zeros((len(occ), n + 1), dtype=np.complex128)
+    poly[:, 0] = 1.0
+    for r in range(n_a):
+        poly = times(poly, r)
+    # As in _cascade: the qubit rows pair one of {n_a, n_a+1} with one of {n_a+2, n_a+3}.
+    qs = times(poly, [n_a, n_a + 1])
+    (a1, a3), (a4, a2) = times(qs[:, None], [n_a + 2, n_a + 3])[..., np.arange(len(occ)), k]
+    return np.stack([a1, a2, a3, a4], axis=-1)
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -449,4 +508,4 @@ def outcome_table(u: CircuitMatrix, n_a: int) -> OutcomeTable:
     require_modes(u.entries.shape, n_a)
     u.require_subunitary()
     p, garbage = bell_probability_pullback(u.entries, n_a)[:2]
-    return OutcomeTable(p=np.ascontiguousarray(p.T), garbage=garbage, n_a=n_a, m=u.m)
+    return OutcomeTable(p=p.T, garbage=garbage, n_a=n_a, m=u.m)

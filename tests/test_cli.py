@@ -259,14 +259,18 @@ def test_out_of_range_run_value_is_a_one_line_error(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize(("command", "taken"), [
-    *(pytest.param(command, False, id=command)
+@pytest.mark.parametrize(("command", "taken", "base"), [
+    *(pytest.param(command, False, None, id=command)
       for command in ("optimize", "sweep", "conditions", "evaluate")),
-    *(pytest.param(command, True, id=f"{command}-directory")
+    *(pytest.param(command, True, None, id=f"{command}-directory")
       for command in ("optimize", "sweep", "conditions", "evaluate")),
+    # A `conditions` base that names a directory, with or without a trailing
+    # separator: dd/ would otherwise write the hidden files dd/.csv and dd/.json.
+    pytest.param("conditions", True, "dd", id="conditions-base-directory"),
+    pytest.param("conditions", True, "dd/", id="conditions-base-trailing-separator"),
 ])
 def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
-                                                        command, taken):
+                                                        command, taken, base):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the output path was checked")
 
@@ -282,9 +286,11 @@ def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkey
         "conditions": ("c", "c.json"),  # BASE.json, the second file written
         "evaluate": ("t.json", "t.json"),
     }[command]
+    if base is not None:
+        name, written = base, "dd"
     if taken:
         (tmp_path / written).mkdir()
-    out = where / name
+    out = f"{where / name}{'/' if name.endswith('/') else ''}"
     args = {
         "optimize": ["--na", 0, "--restarts", 2, "--parallelism", 1, "--out", out],
         "sweep": ["--na-list", "0", "--restarts", 2, "--parallelism", 1, "--out", out],
@@ -293,11 +299,14 @@ def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkey
     }[command]
     assert run_cli([command, *args]) == 1
     captured = capsys.readouterr()
-    expected = (f"output path is a directory: {tmp_path / written}" if taken
+    expected = (f"output base names a directory: {out}" if base is not None
+                else f"output path is a directory: {tmp_path / written}" if taken
                 else f"output directory does not exist: {where}")
     assert captured.err == f"error: {expected}\n"
     assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == sorted([matrix, *[tmp_path / written] * taken])
+    if taken:
+        assert not list((tmp_path / written).iterdir())
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bellopt import conditions, transfer
 from bellopt.conditions import (
     Clause,
+    _bunched_indices,
     bunched_two_mode_outcomes,
     check_column_conditions,
     classify_outcome,
@@ -11,8 +15,15 @@ from bellopt.conditions import (
     scan_bunched_two_mode,
 )
 from bellopt.errors import ContractViolationError, UnsupportedConfigurationError
+from bellopt.fock import enumerate_outcomes
 from bellopt.infometrics import mutual_information
-from bellopt.transfer import CircuitMatrix, outcome_table
+from bellopt.transfer import (
+    CircuitMatrix,
+    _bosonic_factor_array,
+    bell_amplitude_arrays,
+    outcome_table,
+    two_mode_amplitudes,
+)
 from bellopt.unitary import haar_random_unitary, sample_conditioned_unitary
 
 
@@ -153,6 +164,65 @@ def test_bunched_outcome_enumeration():
     # N=8, M=10: ten single-mode outcomes, 90 ordered pairs for each of the
     # splits 7+1, 6+2, 5+3, and C(10,2) pairs for 4+4
     assert len(bunched_two_mode_outcomes(6)) == 10 + 3 * 90 + 45
+    # Built from mode pairs, they are the alphabet's bunched rows, in its order.
+    for n_a in range(7):
+        assert np.array_equal(bunched_two_mode_outcomes(n_a),
+                              enumerate_outcomes(n_a + 2, n_a + 4)[_bunched_indices(n_a)])
+    with pytest.raises(ContractViolationError):
+        bunched_two_mode_outcomes(-1)
+
+
+def _zero_column_subunitary(m: int, seed: int) -> CircuitMatrix:
+    u = 0.9 * haar_random_unitary(m, seed).entries
+    u[:, seed % m] = 0.0
+    return CircuitMatrix(u)
+
+
+TWO_MODE_CASES = {
+    **{f"haar-{n_a}": (n_a, lambda n_a=n_a: haar_random_unitary(n_a + 4, 50 + n_a))
+       for n_a in range(7)},
+    "conditioned-4": (4, lambda: sample_conditioned_unitary(4, 51)),
+    "conditioned-6": (6, lambda: sample_conditioned_unitary(6, 52)),
+    "permutation-2": (2, lambda: CircuitMatrix(np.eye(6)[[3, 0, 5, 1, 2, 4]])),
+    "zero-column-3": (3, lambda: _zero_column_subunitary(7, 53)),
+    "zero-column-6": (6, lambda: _zero_column_subunitary(10, 54)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_MODE_CASES))
+def test_two_mode_scan_matches_the_whole_alphabet_cascade(case):
+    n_a, make = TWO_MODE_CASES[case]
+    u = make()
+    bunched = _bunched_indices(n_a)
+    want = np.stack(bell_amplitude_arrays(u.entries, n_a), axis=-1)[bunched]
+    outcomes = bunched_two_mode_outcomes(n_a)
+    assert np.max(np.abs(two_mode_amplitudes(u.entries, n_a, outcomes) - want)) <= 1e-12
+    reference = clause_verdicts(outcomes, want, _bosonic_factor_array(n_a + 2, n_a + 4)[bunched])
+    verdicts = scan_bunched_two_mode(u, n_a)
+    assert [(v.outcome, v.clause, v.ambiguous, v.sign) for v in verdicts] == [
+        (v.outcome, v.clause, v.ambiguous, v.sign) for v in reference]
+    assert [v.prob_mass for v in verdicts] == pytest.approx(
+        [v.prob_mass for v in reference], rel=0, abs=1e-12)
+
+
+def test_scan_never_builds_the_alphabet_and_bounds_its_peak(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bunched scan reached the whole alphabet")
+
+    for module, name in ((transfer, "_cascade"), (transfer, "enumerate_outcomes"),
+                         (conditions, "enumerate_outcomes")):
+        monkeypatch.setattr(module, name, refuse)
+    u = sample_conditioned_unitary(8, 1)
+    # Twelve single modes, 132 ordered pairs for each of 9+1, 8+2, 7+3, 6+4, 66 for 5+5.
+    assert len(scan_bunched_two_mode(u, 8)) == 12 + 4 * 132 + 66  # and warms the caches
+    tracemalloc.start()
+    try:
+        scan_bunched_two_mode(u, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A warm N_a = 8 scan through the whole-alphabet cascade peaked at 31 MB.
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize(

@@ -4,11 +4,13 @@ import pytest
 from bellopt.infometrics import (
     H_X_BITS,
     S_RHO_BITS,
+    _log2_ratio,
     conditional_bits,
+    conditional_bits_pullback,
     mutual_information,
 )
 from bellopt.transfer import CircuitMatrix, OutcomeTable, outcome_table
-from bellopt.unitary import haar_random_unitary
+from bellopt.unitary import haar_random_unitary, sample_conditioned_unitary
 
 
 def table_from_matrix(p: np.ndarray, garbage=None) -> OutcomeTable:
@@ -109,3 +111,23 @@ def test_conditional_bits_batched_shape():
     out = conditional_bits(p, g)
     assert out.shape == (7,)
     assert out[3] == pytest.approx(float(conditional_bits(p[3], g[3])))
+
+
+def test_tables_are_scored_in_place_with_the_where_formula():
+    # The table is the cascade's (4, K) array transposed, with exact zeros.
+    table = outcome_table(sample_conditioned_unitary(4, 3), 4)
+    p = table.p
+    assert p.flags.f_contiguous and not p.flags.c_contiguous
+    totals = p.sum(axis=-1, keepdims=True)
+    positive = p > 0.0
+    assert not positive.all()
+    want = np.log2(np.where(positive, totals / np.where(positive, p, 1.0), 1.0))
+    got = _log2_ratio(p, totals)
+    assert np.array_equal(got, want)
+    # The derivatives keep the layout of p, so the optimizer's sums keep their order.
+    assert got.strides == conditional_bits_pullback(p, table.garbage)[1].strides == p.strides
+    # The information is summed in one order whatever the layout: on this
+    # Haar table, summing in memory order moves the view's bits by one ulp.
+    p = outcome_table(haar_random_unitary(8, 0), 4).p
+    copies = (np.ascontiguousarray(p), np.asfortranarray(p), p[::-1, ::-1].copy()[::-1, ::-1])
+    assert {float(conditional_bits(q)) for q in (p, *copies)} == {float(conditional_bits(p))}

@@ -27,8 +27,9 @@ from bellopt.transfer import (
     outcome_probabilities,
     outcome_table,
     permanent,
+    two_mode_amplitudes,
 )
-from bellopt.unitary import _upper_indices, haar_random_unitary
+from bellopt.unitary import _upper_indices, haar_random_unitary, sample_conditioned_unitary
 
 
 def naive_permanent(a: np.ndarray) -> complex:
@@ -99,6 +100,32 @@ def random_subunitary(m: int, seed: int) -> CircuitMatrix:
     rng = np.random.default_rng(seed)
     left, right = haar_random_unitary(m, rng).entries, haar_random_unitary(m, rng).entries
     return CircuitMatrix(left @ np.diag(rng.uniform(0.5, 1.0, m)) @ right)
+
+
+def circuit(kind: str, n_a: int, seed: int) -> np.ndarray:
+    """An (M, M) test circuit: dense, or with exact zeros the cascade can skip."""
+    m = n_a + 4
+    if kind == "haar":
+        return haar_random_unitary(m, seed).entries
+    if kind == "lossy":
+        return random_subunitary(m, seed).entries
+    if kind == "conditioned":  # block zero pattern; even n_a >= 4 only
+        return sample_conditioned_unitary(n_a, seed).entries
+    if kind == "permutation":
+        return np.eye(m, dtype=np.complex128)[np.random.default_rng(seed).permutation(m)]
+    if kind == "zero-column":  # sub-unitary, and no photon reaches one output mode
+        u = random_subunitary(m, seed).entries
+        u[:, seed % m] = 0.0
+        return u
+    raise ValueError(kind)
+
+
+#: (kind, n_a) of every test circuit kind, each at the sizes it exists for.
+CIRCUIT_CASES = [
+    *((kind, n_a) for kind in ("haar", "lossy", "permutation", "zero-column")
+      for n_a in (0, 2, 4, 6)),
+    ("conditioned", 4), ("conditioned", 6),
+]
 
 
 def splitter_50_50() -> CircuitMatrix:
@@ -380,13 +407,17 @@ def test_batched_entry_points_equal_single_matrices(n_a):
         assert np.array_equal(garbage[:, b], g_one)
 
 
-@pytest.mark.parametrize("n_a", [0, 2, 4])
-def test_bell_probability_pullback_matches_finite_differences(n_a):
+@pytest.mark.parametrize(("n_a", "conditioned"), [(0, False), (2, False), (4, False), (4, True)],
+                         ids=["0", "2", "4", "conditioned-4"])
+def test_bell_probability_pullback_matches_finite_differences(n_a, conditioned):
     # Pull back fixed cotangents through (p, garbage)(U) on a lossy matrix,
     # so the garbage term passes gradient: the gradient of
-    # sum(P * p) + sum(G * garbage) over Re U and Im U.
+    # sum(P * p) + sum(G * garbage) over Re U and Im U. The conditioned
+    # matrix's zeros send its forward through the restricted gather, whose
+    # levels the reverse pass reads.
     m = n_a + 4
-    u = random_subunitary(m, 80 + n_a).entries
+    u = (0.9 * circuit("conditioned", n_a, 80) if conditioned
+         else random_subunitary(m, 80 + n_a).entries)
     rng = np.random.default_rng(n_a)
     p, garbage, pullback = bell_probability_pullback(u, n_a)
     p_cot, g_cot = rng.standard_normal(p.shape), rng.standard_normal(4)
@@ -407,11 +438,10 @@ def test_bell_probability_pullback_matches_finite_differences(n_a):
     assert np.linalg.norm(g - reference) <= 1e-6 * np.linalg.norm(reference)
 
 
-@pytest.mark.parametrize("n_a", [0, 2, 4, 6])
-@pytest.mark.parametrize("lossy", [False, True], ids=["haar", "lossy"])
-def test_gather_cascade_matches_the_scatter_reference(n_a, lossy):
+@pytest.mark.parametrize(("kind", "n_a"), CIRCUIT_CASES, ids=[f"{k}-{n}" for k, n in CIRCUIT_CASES])
+def test_gather_cascade_matches_the_scatter_reference(kind, n_a):
     m = n_a + 4
-    u = (random_subunitary(m, 40 + n_a) if lossy else haar_random_unitary(m, 40 + n_a)).entries
+    u = circuit(kind, n_a, 40 + n_a)
     got_levels, got_qs, got_amps = _cascade(u, n_a)
     want_levels, want_qs, want_amps = reference_cascade(u, n_a)
     got, want = [*got_levels, *got_qs, *got_amps], [*want_levels, *want_qs, *want_amps]
@@ -419,6 +449,8 @@ def test_gather_cascade_matches_the_scatter_reference(n_a, lossy):
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-12
+    want_p = outcome_probabilities(np.stack(want_amps, axis=-1), _bosonic_factor_array(n_a + 2, m))
+    assert np.max(np.abs(outcome_table(CircuitMatrix(u), n_a).p - want_p)) <= 1e-12
     if n_a == 6:  # K = 11,440 and 24,310: both top levels span several blocks
         assert len(got_qs[0]) > 2 * _GATHER_BLOCK and len(got_amps[0]) > 2 * _GATHER_BLOCK
 
@@ -439,3 +471,16 @@ def test_forward_caches_only_its_map_and_bounds_its_peak():
     # The scatter-add kernel this replaced peaked at 3.414 MB in this warm
     # N_a = 6 table; the bound is 5% above it, as the benchmark's RSS gate.
     assert peak < 1.05 * 3.414e6
+
+
+@pytest.mark.parametrize("rows", [
+    [(2, 1, 1, 0, 0, 0)],  # three occupied modes
+    [(3, 0, 0, 0, 0, 0)],  # three photons, not N_a + 2 = 4
+    [(4, 0, 0, 0, 0)],  # five modes, not six
+    [(5, -1, 0, 0, 0, 0)],  # a negative occupation
+    np.array([(2.0, 2.0, 0, 0, 0, 0)]),  # not integers
+    [4, 0, 0, 0, 0, 0],  # one row, not a (B, M) array
+], ids=["three-modes", "photons", "width", "negative", "float", "one-dimensional"])
+def test_two_mode_amplitudes_reject_other_rows(rows):
+    with pytest.raises(ContractViolationError, match="photons in at most two of 6 modes"):
+        two_mode_amplitudes(haar_random_unitary(6, 1).entries, 2, rows)
