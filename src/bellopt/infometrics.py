@@ -35,7 +35,8 @@ def _log2_ratio(values: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
     The layout sets the summation order of every product with ``values``.
     """
-    ratio = np.ones_like(values)
+    ratio = np.empty_like(values)
+    ratio.fill(1.0)
     np.divide(totals, values, out=ratio, where=values > 0.0)
     return np.log2(ratio, out=ratio)
 

@@ -14,9 +14,9 @@ seeded multi-start with a deterministic reduction.
 
 from __future__ import annotations
 
+import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -202,10 +202,10 @@ def _bfgs_descent(
         return None
 
     for _ in range(max_iterations):
-        if float(np.linalg.norm(g)) < _GRADIENT_TOL:
+        if math.sqrt(g @ g) < _GRADIENT_TOL:
             stop = "gradient_tol"
             break
-        accepted = backtrack(-g if h_inv is None else -h_inv @ g)
+        accepted = backtrack(-g if h_inv is None else -(h_inv @ g))
         if accepted is None and h_inv is not None:
             # The quasi-Newton direction is uphill or poorly scaled: drop the
             # curvature information and search along -g instead.
@@ -223,19 +223,22 @@ def _bfgs_descent(
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
+        yy = float(y @ y)
+        if sy > 1e-12 * (math.sqrt(s @ s) * math.sqrt(yy) + 1e-300):
             if h_inv is None:
-                h_inv = (sy / float(y @ y)) * np.eye(x.shape[0])
-            # (I - rho s y^T) H (I - rho y s^T) + rho s s^T, in rank-two form.
+                h_inv = (sy / yy) * np.eye(x.shape[0])
+            # (I - rho s y^T) H (I - rho y s^T) + rho s s^T, in rank-two form;
+            # hy_s.T is the outer product of s with hy.
             rho = 1.0 / sy
             hy = h_inv @ y
-            h_inv = (h_inv - rho * (np.outer(hy, s) + np.outer(s, hy))
-                     + (rho * rho * float(y @ hy) + rho) * np.outer(s, s))
+            hy_s = hy[:, None] * s
+            h_inv = (h_inv - rho * (hy_s + hy_s.T)
+                     + (rho * rho * float(y @ hy) + rho) * (s[:, None] * s))
         x, f, g = x_new, f_new, g_new
         iterations += 1
         trace.append(f)
 
-    stats = {"iterations": iterations, "stop": stop, "grad_norm": float(np.linalg.norm(g)),
+    stats = {"iterations": iterations, "stop": stop, "grad_norm": math.sqrt(g @ g),
              **counts, "objective_trace": trace}
     return x, f, stats
 
@@ -279,6 +282,10 @@ def optimize(cfg: OptimizerConfig, progress=None) -> OptimizationResult:
     workers = min(cfg.parallelism, cfg.restarts, _usable_cpus())
     records: list[RestartRecord] = []
     vectors: list[np.ndarray] = []
+    if workers > 1:
+        # Imported on use: the pool module and multiprocessing cost a fresh
+        # interpreter about 20 ms, which a serial run need not pay.
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         for record, x in run(partial(_run_restart, cfg), range(cfg.restarts)):

@@ -306,26 +306,37 @@ def _insertion_sources(n_photons: int, n_modes: int) -> np.ndarray:
 _GATHER_BLOCK = 2048
 
 
-def _creation_step(rows: np.ndarray, vec: np.ndarray, level: int, n_modes: int) -> np.ndarray:
+def _creation_step(rows: np.ndarray, vec: np.ndarray, level: int, n_modes: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Multiply amplitude vectors by transformed creation operators.
 
     ``vec`` holds coefficients over the level-``level`` outcome basis plus a
     trailing zero, one vector (K_n + 1,) or a stack (V, K_n + 1); ``rows`` is
-    one (M,) or several (R, M) operator rows. The result, shape V + R +
-    (K_{n+1} + 1,), is over level ``level + 1`` and again ends in a zero.
+    one (M,) or several (R, M) operator rows, or a stack (V, R, M) of rows
+    for each vector. The result, shape V + R + (K_{n+1} + 1,), is over level
+    ``level + 1`` and again ends in a zero. Given ``out``, of shape V + R +
+    (K_{n+1},) and any strides, the step writes there, without the zero.
     Each block of output states is one gather through
     :func:`_insertion_sources`, shared by every row, and one product; it
-    skips the modes that every row's exact zeros leave unreached.
+    skips the modes that every row's exact zeros leave unreached. At level 0
+    ``vec`` is the vacuum, (1, 0), and each row's amplitudes are the row
+    itself: one photon in mode j is state j.
     """
     sources = _insertion_sources(level, n_modes)
     k = sources.shape[1]
+    if out is None:
+        out = np.zeros(vec.shape[:-1] + rows.shape[-2:-1] + (k + 1,), dtype=np.complex128)
+    if level == 0:
+        out[..., :k] = rows
+        return out
     modes = slice(None)
     if np.count_nonzero(rows) < rows.size:  # the cheapest test on the dense path
         # Where the rows are exactly zero on some modes, gather only the rest.
         modes = rows.reshape(-1, n_modes).any(axis=0)
         rows = rows[..., modes]
-    out = np.empty(vec.shape[:-1] + rows.shape[:-1] + (k + 1,), dtype=np.complex128)
-    out[..., k] = 0.0
+    if k <= _GATHER_BLOCK:  # one block: the loop's slicing would cost as much as a small product
+        np.matmul(rows, vec.take(sources[modes], axis=-1), out=out[..., :k])
+        return out
     for start in range(0, k, _GATHER_BLOCK):
         block = slice(start, min(start + _GATHER_BLOCK, k))
         np.matmul(rows, vec.take(sources[modes, block], axis=-1), out=out[..., block])
@@ -343,23 +354,31 @@ def _bosonic_factor_array(n_photons: int, n_modes: int) -> np.ndarray:
     return read_only(_bosonic_factors(enumerate_outcomes(n_photons, n_modes)))
 
 
+#: Rows n_a + 2 + _BRANCH_ROWS[v] meet qubit level v: (r2, r3) for q1, (r3, r2) for q2.
+_BRANCH_ROWS = read_only(np.array([[0, 1], [1, 0]]))
+
+
 def _cascade(u: np.ndarray, n_a: int):
     """Every level of the cascade for one (M, M) matrix.
 
-    Returns ``(levels, (q1, q2), (a1, a2, a3, a4))``: the ancilla levels
-    0..n_a, the two one-qubit-photon levels, and the four branch amplitudes
-    of shape (K,). The reverse pass reads the kept levels.
+    Returns ``(levels, (q1, q2), amps)``: the ancilla levels 0..n_a, the two
+    one-qubit-photon levels, and the four branch amplitudes a1, a2, a3, a4
+    as the rows of one (4, K) array. The reverse pass reads the kept levels.
     """
     m = n_a + 4
     padded = [np.array([1.0, 0.0], dtype=np.complex128)]
     for j in range(n_a):
         padded.append(_creation_step(u[j], padded[-1], j, m))
-    # The four row sets share the ancilla prefix and pair one of rows
-    # {n_a, n_a+1} with one of rows {n_a+2, n_a+3}: one gather per level.
+    # Each branch pairs the photon of row n_a (q1) or of row n_a+1 (q2) with
+    # one of rows n_a+2, n_a+3: a1 = q1 r2, a2 = q2 r3, a3 = q1 r3, a4 = q2 r2.
+    # Both qubit levels share one gather per level, and the transposed view
+    # lays the four branches out in that order.
     qs = _creation_step(u[n_a:n_a + 2], padded[-1], n_a, m)
-    (a1, a3), (a4, a2) = _creation_step(u[n_a + 2:n_a + 4], qs, n_a + 1, m)[..., :-1]
+    amps = np.empty((4, outcome_count(n_a + 2, m)), dtype=np.complex128)
+    rows = u[n_a + 2:].take(_BRANCH_ROWS, axis=0)
+    _creation_step(rows, qs, n_a + 1, m, out=amps.reshape(2, 2, -1).swapaxes(0, 1))
     levels = [level[:-1] for level in padded]
-    return levels, (qs[0, :-1], qs[1, :-1]), (a1, a2, a3, a4)
+    return levels, (qs[0, :-1], qs[1, :-1]), amps
 
 
 def bell_amplitude_arrays(u_entries: np.ndarray, n_a: int) -> tuple[np.ndarray, ...]:
@@ -371,7 +390,7 @@ def bell_amplitude_arrays(u_entries: np.ndarray, n_a: int) -> tuple[np.ndarray, 
     """
     u = np.asarray(u_entries, dtype=np.complex128)
     require_modes(u.shape, n_a)
-    return _cascade(u, n_a)[2]
+    return tuple(_cascade(u, n_a)[2])
 
 
 def two_mode_amplitudes(u_entries: np.ndarray, n_a: int, occupations) -> np.ndarray:
@@ -436,19 +455,37 @@ def bell_probability_parts(u_flat: np.ndarray, n_a: int) -> tuple[np.ndarray, np
     return p.transpose(1, 2, 0), garbage.T
 
 
+def _pair_sums(rows: np.ndarray) -> np.ndarray:
+    """Rows (r0, r1, r2, r3) become (r0 + r1, r0 - r1, r2 + r3, r2 - r3), in place.
+
+    The Bell sums of the branch amplitudes, and in reverse the branch
+    gradients from the sums'; both pairs go at once, through one temporary
+    the size of two rows.
+    """
+    first, second = rows[0::2], rows[1::2]
+    difference = first - second
+    first += second
+    second[...] = difference
+    return rows
+
+
 def _pull_creation_row(
-    vec: np.ndarray, row: np.ndarray, level: int, out_bar: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse of one row of :func:`_creation_step`.
+    vec_conj: np.ndarray, row_conj: np.ndarray, level: int, out_bar: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Reverse of one row of :func:`_creation_step`, given the conjugates of its source and row.
 
     Gradients of a real function with respect to complex values are stored as
     d/dRe + i d/dIm. The forward gathers each output state's sources; its
     reverse gathers each source's outputs, through
     :func:`_insertion_targets`: ``(vec_bar, row_bar)`` from the
-    level-``level + 1`` gradient ``out_bar``.
+    level-``level + 1`` gradient ``out_bar``. At level 0 the source is the
+    vacuum, amplitude 1, whose gradient nothing reads: ``vec_bar`` is None,
+    and ``row_bar`` is ``out_bar`` itself.
     """
-    gathered = out_bar[_insertion_targets(level, row.shape[-1])]
-    return np.conj(row) @ gathered, gathered @ np.conj(vec)
+    if level == 0:
+        return None, out_bar
+    gathered = out_bar[_insertion_targets(level, row_conj.shape[-1])]
+    return row_conj @ gathered, gathered @ vec_conj
 
 
 def bell_probability_pullback(u: np.ndarray, n_a: int):
@@ -463,37 +500,42 @@ def bell_probability_pullback(u: np.ndarray, n_a: int):
     """
     u = np.asarray(u, dtype=np.complex128)
     require_modes(u.shape, n_a)
-    levels, (q1, q2), (a1, a2, a3, a4) = _cascade(u, n_a)
+    levels, (q1, q2), amps = _cascade(u, n_a)
     c = _bosonic_factor_array(n_a + 2, len(u))
-    # The reverse pass keeps only the four sums. They overwrite the four
-    # amplitudes, which share one array, to keep peak memory down at large K.
-    a1[...], a2[...] = a1 + a2, a1 - a2
-    a3[...], a4[...] = a3 + a4, a3 - a4
-    sums = (a1, a2, a3, a4)
-    p = np.empty((4, len(c)))
-    for x, s in enumerate(sums):
-        np.multiply(c, _abs2(s), out=p[x])
+    # The reverse pass keeps only the four sums, one per Bell input. They
+    # overwrite the amplitudes to keep peak memory down at large K, as does
+    # squaring the imaginary parts one pair of rows at a time.
+    sums = _pair_sums(amps)
+    p = np.square(sums.real)
+    for p_pair, sum_pair in zip(p.reshape(2, 2, -1), sums.reshape(2, 2, -1)):
+        p_pair += np.square(sum_pair.imag)
+    p *= c
     leak = 1.0 - p.sum(axis=1)
     garbage = np.maximum(leak, 0.0)
 
     def pullback(p_bar: np.ndarray, g_bar: np.ndarray) -> np.ndarray:
         # garbage = max(1 - sum_y p, 0): clamped inputs pass no gradient.
         p_bar = p_bar - np.where(leak > 0.0, g_bar, 0.0)[:, None]
-        s_bar = [2.0 * c * p_bar[x] * sums[x] for x in range(4)]
-        a_bar = (s_bar[0] + s_bar[1], s_bar[0] - s_bar[1],
-                 s_bar[2] + s_bar[3], s_bar[2] - s_bar[3])
-        u_bar = np.zeros_like(u)
-
-        def pull(source, r, level, out_bar):
-            source_bar, row_bar = _pull_creation_row(source, u[r], level, out_bar)
-            u_bar[r] += row_bar
-            return source_bar
-
-        q1_bar = pull(q1, n_a + 2, n_a + 1, a_bar[0]) + pull(q1, n_a + 3, n_a + 1, a_bar[2])
-        q2_bar = pull(q2, n_a + 3, n_a + 1, a_bar[1]) + pull(q2, n_a + 2, n_a + 1, a_bar[3])
-        vec_bar = pull(levels[n_a], n_a, n_a, q1_bar) + pull(levels[n_a], n_a + 1, n_a, q2_bar)
+        a_bar = _pair_sums((2.0 * c) * p_bar * sums)
+        conj_u = np.conj(u)
+        u_bar = np.empty_like(u)
+        # As in _cascade: a1 = q1 r2, a2 = q2 r3, a3 = q1 r3, a4 = q2 r2.
+        q1_conj, q2_conj = np.conj(q1), np.conj(q2)
+        r2_conj, r3_conj = conj_u[n_a + 2], conj_u[n_a + 3]
+        q1_from_a1, r2_from_a1 = _pull_creation_row(q1_conj, r2_conj, n_a + 1, a_bar[0])
+        q2_from_a2, r3_from_a2 = _pull_creation_row(q2_conj, r3_conj, n_a + 1, a_bar[1])
+        q1_from_a3, r3_from_a3 = _pull_creation_row(q1_conj, r3_conj, n_a + 1, a_bar[2])
+        q2_from_a4, r2_from_a4 = _pull_creation_row(q2_conj, r2_conj, n_a + 1, a_bar[3])
+        u_bar[n_a + 2] = r2_from_a1 + r2_from_a4
+        u_bar[n_a + 3] = r3_from_a3 + r3_from_a2
+        level = np.conj(levels[n_a])
+        from_q1, u_bar[n_a] = _pull_creation_row(
+            level, conj_u[n_a], n_a, q1_from_a1 + q1_from_a3)
+        from_q2, u_bar[n_a + 1] = _pull_creation_row(
+            level, conj_u[n_a + 1], n_a, q2_from_a2 + q2_from_a4)
+        vec_bar = from_q1 + from_q2 if n_a else None
         for j in range(n_a - 1, -1, -1):
-            vec_bar = pull(levels[j], j, j, vec_bar)
+            vec_bar, u_bar[j] = _pull_creation_row(np.conj(levels[j]), conj_u[j], j, vec_bar)
         return u_bar
 
     return p, garbage, pullback

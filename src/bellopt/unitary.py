@@ -2,10 +2,12 @@
 
 A circuit is searched as U = exp(i*H) for one Hermitian generator H, so an
 unconstrained real parameter vector of length M^2, the dimension of U(M),
-always yields a unitary circuit and every coordinate moves it. The Hermitian
-exponential goes through an eigendecomposition, which keeps U unitary to
-machine precision; :func:`matrix_entries_pullback` differentiates it in
-reverse through the Daleckii-Krein divided differences of that
+always yields a unitary circuit and every coordinate moves it. H is the
+product of the vector with one cached (M^2, M^2) basis matrix B, and the
+gradient on the vector is Re(conj(B) @ vec(dH)); both products are exact.
+The Hermitian exponential goes through an eigendecomposition, which keeps U
+unitary to machine precision; :func:`matrix_entries_pullback` differentiates
+it in reverse through the Daleckii-Krein divided differences of that
 eigendecomposition. Matrices read from files may be sub-unitary.
 
 All randomness is driven by numpy's PCG64 generator through explicit seeds;
@@ -74,9 +76,23 @@ class CircuitParams:
 
 
 @lru_cache(maxsize=None)
-def _upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``np.triu_indices(m, k=1)``; building it costs more than using it."""
-    return tuple(map(read_only, np.triu_indices(m, k=1)))
+def _storage_basis(m: int) -> np.ndarray:
+    """Read-only (M^2, M^2) complex basis B with vec(H) = storage @ B.
+
+    Row k is the Hermitian matrix that stored real k multiplies: a unit on
+    the diagonal, or 1 (real part) or i (imaginary part) at an upper entry
+    with its conjugate at the mirrored one. Every nonzero entry has modulus
+    1 and each product sums one or two of them with zeros, so the matrix
+    products below are exact.
+    """
+    basis = np.zeros((m * m, m, m), dtype=np.complex128)
+    diag = np.arange(m)
+    basis[diag, diag, diag] = 1.0
+    iu, ju = np.triu_indices(m, k=1)
+    re = m + 2 * np.arange(len(iu))
+    basis[re, iu, ju] = basis[re, ju, iu] = 1.0
+    basis[re + 1, iu, ju], basis[re + 1, ju, iu] = 1j, -1j
+    return read_only(basis.reshape(m * m, m * m))
 
 
 def hermitian_from_storage(storage: np.ndarray, m: int) -> np.ndarray:
@@ -86,27 +102,23 @@ def hermitian_from_storage(storage: np.ndarray, m: int) -> np.ndarray:
         raise ContractViolationError(
             f"storage for m={m} needs {m * m} reals, got {storage.shape[-1]}"
         )
-    h = np.zeros(storage.shape[:-1] + (m, m), dtype=np.complex128)
-    diag = np.arange(m)
-    h[..., diag, diag] = storage[..., :m]
-    if m > 1:
-        iu, ju = _upper_indices(m)
-        off = storage[..., m:].reshape(storage.shape[:-1] + (len(iu), 2))
-        upper = off[..., 0] + 1j * off[..., 1]
-        h[..., iu, ju] = upper
-        h[..., ju, iu] = np.conj(upper)
-    return h
+    # A real product with B's (re, im) pairs, read back as complex.
+    h = storage @ _storage_basis(m).view(np.float64)
+    return h.view(np.complex128).reshape(storage.shape[:-1] + (m, m))
 
 
 def storage_from_hermitian(h: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`hermitian_from_storage` (single matrix)."""
+    """Inverse of :func:`hermitian_from_storage`.
+
+    The rows of the storage basis are orthogonal, so each real is the
+    projection of H on its row over the row's squared norm: the count of
+    its unit entries.
+    """
     h = np.asarray(h, dtype=np.complex128)
     m = h.shape[-1]
-    iu, ju = _upper_indices(m)
-    parts = [np.real(np.diagonal(h, axis1=-2, axis2=-1))]
-    off = h[..., iu, ju]
-    parts.append(np.stack([off.real, off.imag], axis=-1).reshape(h.shape[:-2] + (-1,)))
-    return np.concatenate(parts, axis=-1)
+    basis = _storage_basis(m)
+    projections = (h.reshape(h.shape[:-2] + (m * m,)) @ np.conj(basis.T)).real
+    return projections / np.count_nonzero(basis, axis=1)
 
 
 def expm_i_hermitian(h: np.ndarray) -> np.ndarray:
@@ -119,19 +131,6 @@ def expm_i_hermitian(h: np.ndarray) -> np.ndarray:
 def matrix_entries_from_vectors(vectors: np.ndarray, m: int) -> np.ndarray:
     """Circuit matrices for a batch of parameter vectors: (..., M^2) -> (..., M, M)."""
     return expm_i_hermitian(hermitian_from_storage(vectors, m))
-
-
-def _storage_bar_from_hermitian_bar(h_bar: np.ndarray) -> np.ndarray:
-    """Gradient on the real storage of :func:`hermitian_from_storage`.
-
-    ``h_bar`` holds d/dRe H + i d/dIm H over all M^2 entries; each stored
-    real feeds one diagonal entry or a conjugate pair of off-diagonal ones.
-    """
-    m = h_bar.shape[-1]
-    iu, ju = _upper_indices(m)
-    upper, lower = h_bar[iu, ju], h_bar[ju, iu]
-    off = np.stack([upper.real + lower.real, upper.imag - lower.imag], axis=-1)
-    return np.concatenate([np.diagonal(h_bar).real, off.ravel()])
 
 
 def matrix_entries_pullback(vector: np.ndarray, m: int):
@@ -154,15 +153,18 @@ def matrix_entries_pullback(vector: np.ndarray, m: int):
             f"parameter vector for m={m} must have length {m * m}, got {vector.shape}"
         )
     eigvals, eigvecs = np.linalg.eigh(hermitian_from_storage(vector, m))
-    u = (eigvecs * np.exp(1j * eigvals)) @ np.conj(eigvecs.T)
+    eigvecs_h = np.conj(eigvecs.T)
+    u = (eigvecs * np.exp(1j * eigvals)) @ eigvecs_h
 
     def pullback(u_bar: np.ndarray) -> np.ndarray:
         gap = eigvals[:, None] - eigvals[None, :]
         mean = (eigvals[:, None] + eigvals[None, :]) / 2.0
         divided = 1j * np.exp(1j * mean) * np.sinc(gap / (2.0 * np.pi))
-        inner = np.conj(eigvecs.T) @ u_bar @ eigvecs
-        h_bar = eigvecs @ (np.conj(divided) * inner) @ np.conj(eigvecs.T)
-        return _storage_bar_from_hermitian_bar(h_bar)
+        inner = eigvecs_h @ u_bar @ eigvecs
+        h_bar = eigvecs @ (np.conj(divided) * inner) @ eigvecs_h
+        # Re(conj(B) @ vec(h_bar)) over the storage basis B of
+        # hermitian_from_storage: each real gets its one or two entries.
+        return _storage_basis(m).view(np.float64) @ h_bar.reshape(-1).view(np.float64)
 
     return u, pullback
 

@@ -42,6 +42,16 @@ def test_import_pins_blas_threads_unless_set(preset):
     assert out.split() == [preset or "1"] * len(BLAS_VARS)
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # Only a run with more than one worker loads the pool and multiprocessing.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    pool_modules = ("multiprocessing", "concurrent.futures.process")
+    script = f"import sys, bellopt.cli; print(*(m in sys.modules for m in {pool_modules!r}))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "False"]
+
+
 def test_sample_then_check_conditioned(tmp_path, capsys):
     path = tmp_path / "cond.json"
     assert run_cli(["sample", "--na", 6, "--seed", 3, "--kind", "conditioned", "--out", path]) == 0

@@ -1,0 +1,79 @@
+"""The optimizer's forward and reverse passes equal their earlier forms bit for bit."""
+
+import numpy as np
+import pytest
+
+import reference
+from bellopt import optimizer
+from bellopt.optimizer import _bfgs_descent, initial_vector
+from bellopt.transfer import bell_probability_pullback
+from bellopt.unitary import (
+    haar_random_unitary,
+    hermitian_from_storage,
+    matrix_entries_pullback,
+    storage_from_hermitian,
+)
+
+N_AS = (0, 1, 2, 3, 4)
+KINDS = ("haar", "scaled-haar", "permutation", "zero-column")
+
+
+def circuit(kind: str, n_a: int, seed: int) -> np.ndarray:
+    """An (M, M) circuit: unitary, lossy (garbage > 0), or with exact zeros."""
+    m = n_a + 4
+    u = haar_random_unitary(m, seed).entries
+    if kind == "scaled-haar":
+        return 0.9 * u
+    if kind == "permutation":
+        return np.eye(m, dtype=np.complex128)[np.random.default_rng(seed).permutation(m)]
+    if kind == "zero-column":
+        u = 0.9 * u
+        u[:, seed % m] = 0.0
+    return u
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
+def test_generator_assembly_matches_index_assembly(m):
+    rng = np.random.default_rng(m)
+    single, batch = rng.uniform(-3, 3, m * m), rng.uniform(-3, 3, (2, 3, m * m))
+    for storage in (single, batch):
+        h = hermitian_from_storage(storage, m)
+        assert np.array_equal(h, reference.hermitian_from_storage(storage, m))
+    assert np.array_equal(storage_from_hermitian(h), batch)
+
+
+@pytest.mark.parametrize("n_a", N_AS)
+def test_unitary_pullback_matches_index_reference(n_a):
+    m = n_a + 4
+    rng = np.random.default_rng(30 + n_a)
+    x = initial_vector(n_a, 0.5, rng)
+    u_bar = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    u, pullback = matrix_entries_pullback(x, m)
+    want_u, want_pullback = reference.matrix_entries_pullback(x, m)
+    assert np.array_equal(u, want_u)
+    assert np.array_equal(pullback(u_bar), want_pullback(u_bar))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n_a", N_AS)
+def test_probability_pullback_matches_per_pull_reference(kind, n_a):
+    u = circuit(kind, n_a, 50 + n_a)
+    p, garbage, pullback = bell_probability_pullback(u, n_a)
+    want_p, want_garbage, want_pullback = reference.bell_probability_pullback(u, n_a)
+    assert np.array_equal(p, want_p) and np.array_equal(garbage, want_garbage)
+    rng = np.random.default_rng(n_a)
+    p_bar, g_bar = rng.standard_normal(p.shape), rng.standard_normal(4)
+    assert np.array_equal(pullback(p_bar, g_bar), want_pullback(p_bar, g_bar))
+
+
+@pytest.mark.parametrize("n_a", [0, 2])
+def test_descent_trace_matches_reference_pullbacks(monkeypatch, n_a):
+    x0 = initial_vector(n_a, 0.5, np.random.default_rng(9 + n_a))
+    x, f, stats = _bfgs_descent(x0, n_a, 40)
+    monkeypatch.setattr(optimizer, "matrix_entries_pullback", reference.matrix_entries_pullback)
+    monkeypatch.setattr(optimizer, "bell_probability_pullback",
+                        reference.bell_probability_pullback)
+    want_x, want_f, want_stats = _bfgs_descent(x0, n_a, 40)
+    assert stats["backtracks"] > 0  # rejected trials are on the compared path too
+    assert stats == want_stats
+    assert f == want_f and np.array_equal(x, want_x)

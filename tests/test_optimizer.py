@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 
@@ -274,7 +275,7 @@ def test_pool_is_bounded_by_restarts_and_usable_cpus(monkeypatch, parallelism, r
             return map(fn, items)
 
     # No process is started: the pool is a serial recorder and restarts are stubs.
-    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(optimizer, "_run_restart", _stub_restart)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     cfg = OptimizerConfig(n_a=0, restarts=restarts, parallelism=parallelism)

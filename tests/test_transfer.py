@@ -29,7 +29,7 @@ from bellopt.transfer import (
     permanent,
     two_mode_amplitudes,
 )
-from bellopt.unitary import _upper_indices, haar_random_unitary, sample_conditioned_unitary
+from bellopt.unitary import _storage_basis, haar_random_unitary, sample_conditioned_unitary
 
 
 def naive_permanent(a: np.ndarray) -> complex:
@@ -266,8 +266,7 @@ def test_cached_tables_are_read_only():
         "_insertion_sources": _insertion_sources(n_a + 1, m),
         "_bosonic_factor_array": _bosonic_factor_array(n_a + 2, m),
         "_bunched_indices": _bunched_indices(n_a),
-        "_upper_indices rows": _upper_indices(m)[0],
-        "_upper_indices columns": _upper_indices(m)[1],
+        "_storage_basis": _storage_basis(m),
     }
     assert [name for name, table in tables.items() if table.flags.writeable] == []
 
