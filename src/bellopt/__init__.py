@@ -22,16 +22,12 @@ from bellopt.errors import (
     ContractViolationError,
     InvalidMatrixError,
     MatrixFileError,
-    OracleScaleError,
     UnsupportedConfigurationError,
 )
 from bellopt.fock import enumerate_outcomes
 from bellopt.transfer import (
     CircuitMatrix,
     OutcomeTable,
-    amplitude,
-    amplitude_oracle,
-    bell_amplitudes,
     outcome_table,
 )
 from bellopt.unitary import (
@@ -47,7 +43,6 @@ from bellopt.infometrics import InfoReport, mutual_information
 from bellopt.optimizer import OptimizationResult, OptimizerConfig, optimize
 from bellopt.conditions import (
     check_column_conditions,
-    classify_outcome,
     conditioned_vs_unconditioned_experiment,
     scan_bunched_two_mode,
 )

@@ -2,9 +2,9 @@
 
 Every result file embeds a manifest echoing the command, configuration, seed,
 code version, and RNG algorithm. The manifest is derived from the parsed
-namespace (command, seed and the argv echo), so re-running the recorded argv
-reproduces the file byte-for-byte apart from the volatile run metadata
-(timestamp, wall time). Human-facing values go to standard output with 6
+namespace (command, seed, outputs and the argv echo), so re-running the
+recorded argv reproduces the file byte-for-byte apart from the volatile run
+metadata (timestamp, wall time). Human-facing values go to standard output with 6
 decimals; full precision lives in the files; progress heartbeats go to
 standard error.
 """
@@ -23,6 +23,7 @@ import numpy as np
 
 from bellopt import __version__
 from bellopt.conditions import (
+    DEFAULT_TOL,
     Clause,
     check_column_conditions,
     conditioned_vs_unconditioned_experiment,
@@ -47,8 +48,7 @@ from bellopt.unitary import (
 )
 
 
-def _manifest(ns: argparse.Namespace, config: dict, inputs: list[str],
-              outputs: list[str]) -> dict:
+def _manifest(ns: argparse.Namespace, config: dict, inputs: list[str]) -> dict:
     return {
         "command": ns.command,
         "config": config,
@@ -57,7 +57,7 @@ def _manifest(ns: argparse.Namespace, config: dict, inputs: list[str],
         "rng": RNG_ALGORITHM,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": _output_paths(ns),
         "argv": _argv_echo(ns),
     }
 
@@ -139,7 +139,7 @@ def cmd_optimize(ns: argparse.Namespace) -> int:
     print(f"{result.report.h_mutual:.6f}")
     if ns.out:
         payload = _optimize_payload(result, ns.keep_traces)
-        payload["manifest"] = _manifest(ns, {"na": ns.na, **echo}, [], [str(ns.out)])
+        payload["manifest"] = _manifest(ns, {"na": ns.na, **echo}, [])
         _write_json(ns.out, payload)
     return 0
 
@@ -151,8 +151,7 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
         print(f"{name} = {value:.6f}")
     if ns.table:
         payload = {
-            "manifest": _manifest(ns, {"na": ns.na, "matrix": str(ns.matrix)},
-                                  [str(ns.matrix)], [str(ns.table)]),
+            "manifest": _manifest(ns, {"na": ns.na, "matrix": str(ns.matrix)}, [str(ns.matrix)]),
             "na": table.n_a,
             "m": table.m,
             "garbage": table.garbage.tolist(),
@@ -174,22 +173,22 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         rows.append((na, result.report.h_mutual))
         print(f"{na} {result.report.h_mutual:.6f}")
     if ns.out:
-        manifest = _manifest(ns, {"na_list": list(na_values), **echo}, [], [str(ns.out)])
+        manifest = _manifest(ns, {"na_list": list(na_values), **echo}, [])
         _write_csv(ns.out, manifest, "na,h_mutual", (f"{na},{h:.17g}" for na, h in rows))
     return 0
 
 
 def cmd_conditions(ns: argparse.Namespace) -> int:
     populations = conditioned_vs_unconditioned_experiment(ns.na, ns.trials, ns.seed)
-    manifest = _manifest(ns, {"na": ns.na, "trials": ns.trials}, [],
-                         [f"{ns.out}.csv", f"{ns.out}.json"])
-    _write_csv(f"{ns.out}.csv", manifest, "population,trial,h_mutual,bunched_mass", (
+    csv_path, json_path = _output_paths(ns)
+    manifest = _manifest(ns, {"na": ns.na, "trials": ns.trials}, [])
+    _write_csv(csv_path, manifest, "population,trial,h_mutual,bunched_mass", (
         f"{pop.label},{t},{h:.17g},{mass:.17g}"
         for pop in populations
         for t, (h, mass) in enumerate(zip(pop.h_mutual, pop.bunched_mass))
     ))
     summary = {pop.label: pop.summary() for pop in populations}
-    _write_json(f"{ns.out}.json", {"manifest": manifest, "summary": summary})
+    _write_json(json_path, {"manifest": manifest, "summary": summary})
     for label, stats in summary.items():
         print(f"{label}: mean h={stats['h_mutual_mean']:.6f} max bunched mass="
               f"{stats['bunched_mass_max']:.3e}")
@@ -226,8 +225,6 @@ def cmd_check(ns: argparse.Namespace) -> int:
 
 
 def cmd_sample(ns: argparse.Namespace) -> int:
-    if ns.seed < 0:
-        raise ContractViolationError(f"seed must be >= 0, got {ns.seed}")
     if ns.kind == "conditioned":
         matrix = sample_conditioned_unitary(ns.na, ns.seed)
     else:
@@ -237,11 +234,11 @@ def cmd_sample(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _output_paths(ns: argparse.Namespace) -> list[Path]:
-    """Every file the command writes."""
+def _output_paths(ns: argparse.Namespace) -> list[str]:
+    """Every file the command writes, as its manifest records it."""
     if ns.command == "conditions":
-        return [Path(f"{ns.out}.csv"), Path(f"{ns.out}.json")]
-    return [Path(p) for p in (getattr(ns, "out", None), getattr(ns, "table", None)) if p]
+        return [f"{ns.out}.csv", f"{ns.out}.json"]
+    return [str(p) for p in (getattr(ns, "out", None), getattr(ns, "table", None)) if p]
 
 
 def _parse_na_list(text: str) -> tuple[int, ...]:
@@ -322,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verify column conditions and bunched outcomes")
     p_check.add_argument("--matrix", type=Path, required=True)
     p_check.add_argument("--na", type=int, required=True)
-    p_check.add_argument("--tol", type=float, default=1e-10)
+    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_check.set_defaults(func=cmd_check)
 
     p_sample = sub.add_parser("sample", help="write a conditioned or Haar matrix to file")
@@ -342,12 +339,14 @@ def main(argv=None) -> int:
     try:
         if getattr(ns, "na", 0) < 0:
             raise ContractViolationError(f"na must be >= 0, got {ns.na}")
+        if getattr(ns, "seed", 0) < 0:
+            raise ContractViolationError(f"seed must be >= 0, got {ns.seed}")
         # Output paths are checked before any work, so a typo cannot cost a run.
         # A base naming a directory, dd/ say, would write the hidden dd/.csv.
         if ns.command == "conditions" and (ns.out.endswith(("/", os.sep))
                                            or Path(ns.out).is_dir()):
             raise ContractViolationError(f"output base names a directory: {ns.out}")
-        for path in _output_paths(ns):
+        for path in map(Path, _output_paths(ns)):
             if not path.parent.is_dir():
                 raise ContractViolationError(f"output directory does not exist: {path.parent}")
             if path.is_dir():

@@ -9,11 +9,11 @@ two-mode-bunched outcome into clause A. The column checker, not any
 particular construction, is the source of truth.
 
 One clause rule, :func:`clause_verdicts`, sorts (n, 4) arrays of branch
-amplitudes: the two-mode products of
-:func:`bellopt.transfer.two_mode_amplitudes` over the bunched rows alone
-(:func:`scan_bunched_two_mode`, which never builds the whole alphabet), or
-one outcome's Ryser permanents (:func:`classify_outcome`). The scan's test
-references are those permanents and the whole-alphabet cascade.
+amplitudes with the transfer module's pair sums and bosonic factors: the
+two-mode products of :func:`bellopt.transfer.two_mode_amplitudes` over the
+bunched rows alone (:func:`scan_bunched_two_mode`, which never builds the
+whole alphabet), or one outcome's Ryser permanents (:func:`classify_outcome`,
+the scan's test reference beside the whole-alphabet cascade).
 Outcomes are occupation rows of :func:`bellopt.fock.enumerate_outcomes`, and
 each verdict names its outcome as a tuple of ints. The column checker reads
 the zero pattern as boolean masks, and each column verdict lists the zero
@@ -26,7 +26,6 @@ every report because near-perfect analyzers only need near-zeros.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -149,12 +148,11 @@ def classify_outcome(
 ) -> OutcomeVerdict:
     """Sort one outcome, a tuple of occupations, into clause A, B, C, or NONE.
 
-    The branch amplitudes are Ryser permanents; the bosonic factor is
-    (1/2) prod n_k!.
+    The branch amplitudes are Ryser permanents: the test reference for the
+    two-mode scan.
     """
     amps = bell_amplitudes(u, y, n_a)
-    c = 0.5 * math.prod(map(math.factorial, y))
-    return clause_verdicts([y], amps[None], np.array([c]), tol)[0]
+    return clause_verdicts([y], amps[None], _bosonic_factors(np.array([y])), tol)[0]
 
 
 @lru_cache(maxsize=None)

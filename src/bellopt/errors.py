@@ -13,9 +13,5 @@ class UnsupportedConfigurationError(ValueError):
     """A well-formed request falls outside the supported parameter range."""
 
 
-class OracleScaleError(ValueError):
-    """The symbolic amplitude oracle only runs at desk scale; input too large."""
-
-
 class MatrixFileError(ValueError):
     """A matrix file failed to parse or validate."""

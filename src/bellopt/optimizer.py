@@ -8,8 +8,10 @@ forward that keeps what the reverse pass reads; the accepted trial's reverse
 pass chains the pullbacks of the entropy (:mod:`bellopt.infometrics`), the
 amplitude cascade (:mod:`bellopt.transfer`) and the ``eigh`` exponential
 (:mod:`bellopt.unitary`) into the gradient, so no second forward runs there.
-Central finite differences stay as the test reference. Global search is
-seeded multi-start with a deterministic reduction.
+:func:`objective` and :func:`gradient` read that same forward. Central
+finite differences, over a batched forward of their own, stay as the test
+reference. Global search is seeded multi-start with a deterministic
+reduction.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ class OptimizationResult:
 
 
 def _objective_vectors(vectors: np.ndarray, n_a: int) -> np.ndarray:
-    """Garbage-corrected conditional information for parameter vectors (..., dim)."""
+    """The objective at a batch of parameter vectors (..., dim): the FD reference's forward."""
     vectors = np.asarray(vectors, dtype=np.float64)
     m = n_a + 4
     u = matrix_entries_from_vectors(vectors, m).reshape((-1, m, m))
@@ -134,9 +136,9 @@ def _objective_vectors(vectors: np.ndarray, n_a: int) -> np.ndarray:
 
 
 def objective(params: CircuitParams, n_a: int) -> float:
-    """Garbage-corrected conditional information of the analyzer at ``params``."""
+    """Garbage-corrected conditional information at ``params``: the value BFGS minimizes."""
     require_modes((params.m, params.m), n_a)
-    return float(_objective_vectors(params.to_vector(), n_a))
+    return float(_value_and_pullback(params.to_vector(), n_a)[0])
 
 
 def _gradient_vector(x: np.ndarray, n_a: int, step: float) -> np.ndarray:

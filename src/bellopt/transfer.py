@@ -1,17 +1,17 @@
 """Fock-basis amplitude engine for linear optical mode transformations.
 
-:func:`outcome_table` and :func:`bell_amplitude_arrays` cascade photons
-for the whole outcome alphabet at once. Each level is a gather: every state
-reads, for each mode, the state one level down with one photon fewer there,
-through an integer map built by rank arithmetic rather than a per-state
-lookup, and one product with the creation-operator rows sums them; a
-level whose rows are exactly zero on some modes gathers only the rest. This
-cascade is the engine of every outcome table: the optimizer, the
-information metrics and the conditions experiment read it.
-:func:`bell_probability_pullback` keeps its levels and runs it in reverse
-for the optimizer's gradient. :func:`two_mode_amplitudes` runs the same
-recursion restricted to two output modes, for the bunched outcomes the
-conditions checker scans, without the rest of the alphabet.
+:func:`outcome_table` cascades photons for the whole outcome alphabet at
+once. Each level is a gather: every state reads, for each mode, the state
+one level down with one photon fewer there, through an integer map built by
+rank arithmetic rather than a per-state lookup, and one product with the
+creation-operator rows sums them; a level whose rows are exactly zero on
+some modes gathers only the rest. This cascade is the engine of every
+outcome table: the optimizer, the information metrics and the conditions
+experiment read it. :func:`bell_probability_pullback` keeps its levels and
+runs it in reverse for the optimizer's gradient. :func:`two_mode_amplitudes`
+runs the same recursion, with the same branch table, restricted to two
+output modes, for the bunched outcomes the conditions checker scans,
+without the rest of the alphabet.
 
 Outcomes are the rows of :func:`bellopt.fock.enumerate_outcomes`. Two
 independent routes to the same amplitudes stay here as test references; they
@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from bellopt.errors import ContractViolationError, InvalidMatrixError, OracleScaleError
+from bellopt.errors import ContractViolationError, InvalidMatrixError
 from bellopt.fock import enumerate_outcomes, outcome_count, read_only
 
 #: Desk-scale caps for the symbolic expansion oracle.
@@ -62,13 +62,9 @@ class CircuitMatrix:
     def m(self) -> int:
         return self.entries.shape[0]
 
-    def subunitarity_excess(self) -> float:
-        """How far the largest singular value exceeds 1 (0 if it does not)."""
-        top = float(np.linalg.svd(self.entries, compute_uv=False)[0])
-        return max(0.0, top - 1.0)
-
     def require_subunitary(self) -> None:
-        excess = self.subunitarity_excess()
+        """Reject a matrix whose largest singular value exceeds 1 by more than the allowance."""
+        excess = float(np.linalg.svd(self.entries, compute_uv=False)[0]) - 1.0
         if excess > SUBUNITARY_TOL:
             raise InvalidMatrixError(
                 f"matrix is not sub-unitary: largest singular value exceeds 1 by {excess:.3e}"
@@ -176,7 +172,7 @@ def amplitude_oracle(u: CircuitMatrix, input_state: tuple[int, ...],
     _check_pair(u, input_state, output_state)
     n, m = sum(input_state), len(input_state)
     if n > ORACLE_MAX_PHOTONS or m > ORACLE_MAX_MODES:
-        raise OracleScaleError(
+        raise ContractViolationError(
             f"oracle caps at N <= {ORACLE_MAX_PHOTONS}, M <= {ORACLE_MAX_MODES}; "
             f"got N = {n}, M = {m}"
         )
@@ -252,9 +248,8 @@ def bell_amplitudes(u: CircuitMatrix, y: tuple[int, ...], n_a: int) -> np.ndarra
 
 def outcome_probabilities(amps: np.ndarray, c) -> np.ndarray:
     """(p(y|1), ..., p(y|4)) from amplitude rows (..., 4) and their bosonic factors (...)."""
-    a1, a2, a3, a4 = np.moveaxis(np.asarray(amps), -1, 0)
-    sums = np.stack([a1 + a2, a1 - a2, a3 + a4, a3 - a4], axis=-1)
-    return np.asarray(c)[..., None] * _abs2(sums)
+    sums = np.moveaxis(_pair_sums(np.moveaxis(amps, -1, 0).copy()), 0, -1)
+    return np.asarray(c)[..., None] * (sums.real**2 + sums.imag**2)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +349,11 @@ def _bosonic_factor_array(n_photons: int, n_modes: int) -> np.ndarray:
     return read_only(_bosonic_factors(enumerate_outcomes(n_photons, n_modes)))
 
 
-#: Rows n_a + 2 + _BRANCH_ROWS[v] meet qubit level v: (r2, r3) for q1, (r3, r2) for q2.
+#: The four Bell branches pair the photon of row n_a (q1) or of row n_a + 1
+#: (q2) with one of rows n_a + 2 (r2) and n_a + 3 (r3): a1 = q1 r2,
+#: a2 = q2 r3, a3 = q1 r3, a4 = q2 r2. Rows n_a + 2 + _BRANCH_ROWS[v] meet
+#: qubit level v, (r2, r3) for q1 and (r3, r2) for q2, so branch a_{2j+v+1}
+#: is column j of row v.
 _BRANCH_ROWS = read_only(np.array([[0, 1], [1, 0]]))
 
 
@@ -369,10 +368,8 @@ def _cascade(u: np.ndarray, n_a: int):
     padded = [np.array([1.0, 0.0], dtype=np.complex128)]
     for j in range(n_a):
         padded.append(_creation_step(u[j], padded[-1], j, m))
-    # Each branch pairs the photon of row n_a (q1) or of row n_a+1 (q2) with
-    # one of rows n_a+2, n_a+3: a1 = q1 r2, a2 = q2 r3, a3 = q1 r3, a4 = q2 r2.
     # Both qubit levels share one gather per level, and the transposed view
-    # lays the four branches out in that order.
+    # lays the four branches out in the order of _BRANCH_ROWS.
     qs = _creation_step(u[n_a:n_a + 2], padded[-1], n_a, m)
     amps = np.empty((4, outcome_count(n_a + 2, m)), dtype=np.complex128)
     rows = u[n_a + 2:].take(_BRANCH_ROWS, axis=0)
@@ -381,25 +378,13 @@ def _cascade(u: np.ndarray, n_a: int):
     return levels, (qs[0, :-1], qs[1, :-1]), amps
 
 
-def bell_amplitude_arrays(u_entries: np.ndarray, n_a: int) -> tuple[np.ndarray, ...]:
-    """All four branch amplitudes for every outcome at once.
-
-    ``u_entries`` is one (M, M) matrix; the four arrays have shape (K,), K
-    the size of the outcome alphabet, ordered as in
-    :func:`bellopt.fock.enumerate_outcomes`.
-    """
-    u = np.asarray(u_entries, dtype=np.complex128)
-    require_modes(u.shape, n_a)
-    return tuple(_cascade(u, n_a)[2])
-
-
 def two_mode_amplitudes(u_entries: np.ndarray, n_a: int, occupations) -> np.ndarray:
     """The four branch amplitudes of outcomes with at most two occupied modes.
 
     ``occupations`` is (B, M), each row N_a + 2 photons in at most two
-    modes; the result is (B, 4), columns (a1, a2, a3, a4) as in
-    :func:`bell_amplitude_arrays`. Let a row put k photons in mode i and the
-    rest in mode j. A branch with rows R then has amplitude the coefficient
+    modes; the result is (B, 4), columns (a1, a2, a3, a4), paired as in
+    ``_BRANCH_ROWS``. Let a row put k photons in mode i and the rest in
+    mode j. A branch with rows R then has amplitude the coefficient
     of t^k in prod_{r in R} (U[r, i] t + U[r, j]): the cascade restricted to
     two modes, run for every row and branch at once in N_a + 2 steps. For
     k = N_a + 2 it is the top coefficient, prod_r U[r, i], whatever j is.
@@ -430,14 +415,9 @@ def two_mode_amplitudes(u_entries: np.ndarray, n_a: int, occupations) -> np.ndar
     poly[:, 0] = 1.0
     for r in range(n_a):
         poly = times(poly, r)
-    # As in _cascade: the qubit rows pair one of {n_a, n_a+1} with one of {n_a+2, n_a+3}.
     qs = times(poly, [n_a, n_a + 1])
-    (a1, a3), (a4, a2) = times(qs[:, None], [n_a + 2, n_a + 3])[..., np.arange(len(occ)), k]
-    return np.stack([a1, a2, a3, a4], axis=-1)
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real**2 + z.imag**2
+    amps = times(qs[:, None], n_a + 2 + _BRANCH_ROWS)[..., np.arange(len(occ)), k]
+    return amps.swapaxes(0, 1).reshape(4, len(occ)).T
 
 
 def bell_probability_parts(u_flat: np.ndarray, n_a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -519,7 +499,7 @@ def bell_probability_pullback(u: np.ndarray, n_a: int):
         a_bar = _pair_sums((2.0 * c) * p_bar * sums)
         conj_u = np.conj(u)
         u_bar = np.empty_like(u)
-        # As in _cascade: a1 = q1 r2, a2 = q2 r3, a3 = q1 r3, a4 = q2 r2.
+        # Each branch's pull, paired as in _BRANCH_ROWS.
         q1_conj, q2_conj = np.conj(q1), np.conj(q2)
         r2_conj, r3_conj = conj_u[n_a + 2], conj_u[n_a + 3]
         q1_from_a1, r2_from_a1 = _pull_creation_row(q1_conj, r2_conj, n_a + 1, a_bar[0])

@@ -436,24 +436,33 @@ def _without_volatile_fields(path):
     return doc
 
 
-@pytest.mark.parametrize("command", ["optimize", "sweep", "conditions", "evaluate"])
-def test_recorded_argv_reproduces_the_file(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["optimize", "sweep", "conditions", "conditions-dot",
+                                     "evaluate"])
+def test_recorded_argv_reproduces_the_file(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
     matrix = tmp_path / "u.json"
     write_matrix_file(matrix, haar_random_unitary(6, 21))
-    args, names = {
+    # The manifest's outputs are the written files as typed: a conditions
+    # base keeps its ./ prefix.
+    args, outputs = {
         "optimize": (["--na", 0, "--restarts", 2, "--seed", 3, "--iters", 50,
                       "--parallelism", 1, "--keep-traces", "--out", tmp_path / "r.json"],
-                     ["r.json"]),
+                     [tmp_path / "r.json"]),
         "sweep": (["--na-list", "0,2", "--restarts", 2, "--seed", 5, "--iters", 20,
-                   "--parallelism", 1, "--out", tmp_path / "s.csv"], ["s.csv"]),
+                   "--parallelism", 1, "--out", tmp_path / "s.csv"], [tmp_path / "s.csv"]),
         "conditions": (["--na", 4, "--trials", 2, "--seed", 1, "--out", tmp_path / "c"],
-                       ["c.csv", "c.json"]),
+                       [f"{tmp_path}/c.csv", f"{tmp_path}/c.json"]),
+        "conditions-dot": (["--na", 4, "--trials", 2, "--seed", 1, "--out", "./c"],
+                           ["./c.csv", "./c.json"]),
         "evaluate": (["--matrix", matrix, "--na", 2, "--table", tmp_path / "t.json"],
-                     ["t.json"]),
+                     [tmp_path / "t.json"]),
     }[command]
-    assert run_cli([command, *args]) == 0
-    paths = [tmp_path / name for name in names]
+    outputs = [str(path) for path in outputs]
+    assert run_cli([command.removesuffix("-dot"), *args]) == 0
+    paths = [Path(path) for path in outputs]
+    assert sorted(tmp_path.iterdir()) == sorted([matrix, *(tmp_path / p.name for p in paths)])
     first = [_without_volatile_fields(path) for path in paths]
+    assert [doc["manifest"]["outputs"] for doc in first] == [outputs] * len(paths)
     assert main(first[0]["manifest"]["argv"]) == 0
     assert [_without_volatile_fields(path) for path in paths] == first
 

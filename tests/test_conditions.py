@@ -20,7 +20,6 @@ from bellopt.infometrics import mutual_information
 from bellopt.transfer import (
     CircuitMatrix,
     _bosonic_factor_array,
-    bell_amplitude_arrays,
     outcome_table,
     two_mode_amplitudes,
 )
@@ -194,7 +193,7 @@ def test_two_mode_scan_matches_the_whole_alphabet_cascade(case):
     n_a, make = TWO_MODE_CASES[case]
     u = make()
     bunched = _bunched_indices(n_a)
-    want = np.stack(bell_amplitude_arrays(u.entries, n_a), axis=-1)[bunched]
+    want = transfer._cascade(u.entries, n_a)[2].T[bunched]
     outcomes = bunched_two_mode_outcomes(n_a)
     assert np.max(np.abs(two_mode_amplitudes(u.entries, n_a, outcomes) - want)) <= 1e-12
     reference = clause_verdicts(outcomes, want, _bosonic_factor_array(n_a + 2, n_a + 4)[bunched])

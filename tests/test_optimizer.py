@@ -125,6 +125,14 @@ def test_gradient_is_the_reverse_pass():
     assert np.array_equal(gradient(params, 0), _value_and_pullback(x, 0)[1]())
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n_a", [0, 2, 4])
+def test_objective_is_the_value_the_descent_minimizes(n_a, seed):
+    x0 = initial_vector(n_a, 0.5, np.random.default_rng(seed))
+    x, f, _ = _bfgs_descent(x0, n_a, 30)
+    assert objective(CircuitParams(x), n_a) == f
+
+
 def test_steepest_descent_direction_decreases_objective():
     rng = np.random.default_rng(7)
     wins = 0

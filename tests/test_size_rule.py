@@ -9,7 +9,6 @@ from bellopt.errors import ContractViolationError
 from bellopt.optimizer import gradient, objective
 from bellopt.transfer import (
     CircuitMatrix,
-    bell_amplitude_arrays,
     bell_amplitudes,
     bell_probability_pullback,
     outcome_table,
@@ -33,7 +32,6 @@ def _params(u: CircuitMatrix) -> CircuitParams:
 
 ENTRY_POINTS = {
     "bell_amplitudes": lambda u, n_a: bell_amplitudes(u, (1, 1, 0, 0), n_a),
-    "bell_amplitude_arrays": lambda u, n_a: bell_amplitude_arrays(u.entries, n_a),
     "bell_probability_pullback": lambda u, n_a: bell_probability_pullback(u.entries, n_a),
     "outcome_table": outcome_table,
     "check_column_conditions": check_column_conditions,
