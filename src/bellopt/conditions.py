@@ -18,7 +18,9 @@ Outcomes are occupation rows of :func:`bellopt.fock.enumerate_outcomes`, and
 each verdict names its outcome as a tuple of ints. The column checker reads
 the zero pattern as boolean masks, and each column verdict lists the zero
 rows behind it. The random-analyzer experiment returns its conditioned and
-unconditioned populations as a pair.
+unconditioned populations as a pair. The conditioned population is a 1-bit
+class: qubit A's rows and qubit B's rows reach disjoint output columns, so
+each qubit is measured on its own, which learns at most 1 bit.
 
 Zero means "below ``tol``" throughout; the threshold is a knob surfaced in
 every report because near-perfect analyzers only need near-zeros.
@@ -197,11 +199,6 @@ def scan_bunched_two_mode(
     return clause_verdicts(outcomes, amps, _bosonic_factors(outcomes), tol)
 
 
-def _rows(mask: np.ndarray) -> tuple[int, ...]:
-    """1-based indices of the true entries."""
-    return tuple((np.flatnonzero(mask) + 1).tolist())
-
-
 def check_column_conditions(
     u: CircuitMatrix, n_a: int, tol: float = DEFAULT_TOL
 ) -> list[ColumnVerdict]:
@@ -224,19 +221,18 @@ def check_column_conditions(
         "III": (n_s >= 2) & q34 & (q34 | cross_s).all(axis=1),
         "IV": (n_s >= 1) & q12 & q34 & (q12 | q34 | cross_s).all(axis=1),
     }
-    qubit = np.arange(u.m) >= n_a
-    witness_rows = zeros | qubit[:, None]  # column col: its zero rows and the qubit rows
+    # Each column's 1-based zero rows; rows above n_a are qubit rows.
+    zero_rows = [[r for r, zero in enumerate(column, 1) if zero] for column in zeros.T.tolist()]
     return [
         ColumnVerdict(
             column=col + 1,
             satisfied=frozenset(name for name, holds in conditions.items() if holds[col]),
-            ancilla_zero_rows=_rows(anc[:, col]),
-            qubit_zero_rows=_rows(zeros[:, col] & qubit),
-            cross_zero_rows={
-                l + 1: _rows(witness_rows[:, col] & zeros[:, l]) for l in range(u.m) if l != col
-            },
+            ancilla_zero_rows=tuple(r for r in rows if r <= n_a),
+            qubit_zero_rows=tuple(r for r in rows if r > n_a),
+            cross_zero_rows={l + 1: tuple(r for r in other if r > n_a or r in rows)
+                             for l, other in enumerate(zero_rows) if l != col},
         )
-        for col in range(u.m)
+        for col, rows in enumerate(zero_rows)
     ]
 
 

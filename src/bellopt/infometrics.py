@@ -2,7 +2,10 @@
 
 The encoding variable is the uniform four-way Bell choice, so its entropy and
 the ensemble's von Neumann entropy are both the constant 2 bits; the mutual
-information of any measurement is bounded by that ceiling.
+information of any measurement is bounded by that ceiling. One kernel scores
+a table and its derivatives, summed input-major (the cascade's (4, K) order)
+whatever the table's layout, so every report reads the optimizer's bits:
+:func:`mutual_information` reports 2 - f for the f that BFGS minimizes.
 """
 
 from __future__ import annotations
@@ -31,14 +34,23 @@ class InfoReport:
 
 
 def _log2_ratio(values: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """log2(totals / values), and 0 where a value is exactly 0, in the layout of ``values``.
-
-    The layout sets the summation order of every product with ``values``.
-    """
+    """log2(totals / values), and 0 where a value is exactly 0, in the layout of ``values``."""
     ratio = np.empty_like(values)
     ratio.fill(1.0)
     np.divide(totals, values, out=ratio, where=values > 0.0)
     return np.log2(ratio, out=ratio)
+
+
+def _bits(p_yx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(h, dh/dp)`` of tables p_yx (..., K, 4), with any strides.
+
+    dh/dp(y|x) = (1/4) log2(T_y / p(y|x)), T_y the row total, in the layout of
+    ``p_yx``; h = sum p dh/dp, summed input-major (the cascade's (4, K) order).
+    """
+    p_bar = _log2_ratio(p_yx, p_yx.sum(axis=-1, keepdims=True))
+    p_bar /= 4.0
+    terms = np.multiply(p_yx.swapaxes(-1, -2), p_bar.swapaxes(-1, -2), order="C")
+    return terms.sum(axis=(-2, -1)), p_bar
 
 
 def conditional_bits(p_yx: np.ndarray, garbage: np.ndarray | None = None) -> np.ndarray:
@@ -48,16 +60,11 @@ def conditional_bits(p_yx: np.ndarray, garbage: np.ndarray | None = None) -> np.
     epsilon-flooring, which would bias gradients near sparse tables.
     ``p_yx`` has shape (..., K, 4); an optional ``garbage`` of shape (..., 4)
     is folded in as one extra consolidated outcome, and any strides are
-    accepted. Returns shape (...,).
+    accepted. Returns shape (...,): for one table, the pullback's value.
     """
-    p_yx = np.asarray(p_yx, dtype=np.float64)
-    log_ratio = _log2_ratio(p_yx, p_yx.sum(axis=-1, keepdims=True))
-    # Summed in C order, so the value does not depend on the layout of p_yx.
-    h = np.multiply(p_yx, log_ratio, order="C").sum(axis=(-1, -2)) / 4.0
+    h = _bits(np.asarray(p_yx, dtype=np.float64))[0]
     if garbage is not None:
-        garbage = np.asarray(garbage, dtype=np.float64)
-        g_log_ratio = _log2_ratio(garbage, garbage.sum(axis=-1, keepdims=True))
-        h = h + (garbage * g_log_ratio).sum(axis=-1) / 4.0
+        h = h + _bits(np.asarray(garbage, dtype=np.float64)[..., None, :])[0]
     return h
 
 
@@ -66,19 +73,16 @@ def conditional_bits_pullback(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """:func:`conditional_bits` of one table with its partial derivatives.
 
-    Returns ``(h, dh/dp, dh/dgarbage)`` for ``p_yx`` of shape (K, 4) and
-    ``garbage`` of shape (4,), with p and garbage treated as independent:
-    dh/dp(y|x) = (1/4) log2(T_y / p(y|x)), T_y the row total, and likewise
-    (1/4) log2(G / g_x) for the garbage. Exact zeros get derivative 0, the
-    one-sided limit along any path p = |a|^2 through them, matching the
-    explicit branch in :func:`conditional_bits`.
+    Returns ``(h, dh/dp, dh/dgarbage)`` for float arrays ``p_yx`` of shape
+    (K, 4) and ``garbage`` of shape (4,), treated as independent; the garbage
+    term, (1/4) log2(G / g_x), is the kernel's arithmetic on a (1, 4) table,
+    written out. Exact zeros get derivative 0, the one-sided limit along any
+    path p = |a|^2 through them, matching the explicit branch in
+    :func:`conditional_bits`.
     """
-    p_yx = np.asarray(p_yx, dtype=np.float64)
-    garbage = np.asarray(garbage, dtype=np.float64)
-    p_bar = _log2_ratio(p_yx, p_yx.sum(axis=-1, keepdims=True)) / 4.0
+    h, p_bar = _bits(p_yx)
     g_bar = _log2_ratio(garbage, garbage.sum()) / 4.0
-    h = float((p_yx * p_bar).sum() + (garbage * g_bar).sum())
-    return h, p_bar, g_bar
+    return float(h + (garbage * g_bar).sum()), p_bar, g_bar
 
 
 def mutual_information(table: OutcomeTable) -> InfoReport:

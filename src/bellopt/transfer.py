@@ -202,15 +202,14 @@ def require_modes(shape: tuple[int, ...], n_a: int) -> None:
 
 
 def _bell_qubit_modes(x: int, n_a: int) -> tuple[tuple[int, int], tuple[int, int], int]:
-    """0-based photon modes of the two Fock branches of Bell input x, plus sign."""
+    """0-based photon modes of the two Fock branches of Bell input x, plus sign.
+
+    Input x pairs branches a_{2j+1} and a_{2j+2} of ``_BRANCH_ROWS``, j = (x - 1) // 2.
+    """
     if x not in (1, 2, 3, 4):
         raise ContractViolationError(f"Bell state index must be 1..4, got {x}")
-    if x in (1, 2):
-        branch_a, branch_b = (n_a, n_a + 2), (n_a + 1, n_a + 3)
-    else:
-        branch_a, branch_b = (n_a, n_a + 3), (n_a + 1, n_a + 2)
-    sign = 1 if x in (1, 3) else -1
-    return branch_a, branch_b, sign
+    branch_a, branch_b = zip((n_a, n_a + 1), (n_a + 2 + _BRANCH_ROWS[:, (x - 1) // 2]).tolist())
+    return branch_a, branch_b, 1 if x % 2 else -1
 
 
 def bell_input_branches(x: int, n_a: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:

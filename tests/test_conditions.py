@@ -23,7 +23,11 @@ from bellopt.transfer import (
     outcome_table,
     two_mode_amplitudes,
 )
-from bellopt.unitary import haar_random_unitary, sample_conditioned_unitary
+from bellopt.unitary import (
+    conditioned_block_pattern,
+    haar_random_unitary,
+    sample_conditioned_unitary,
+)
 
 
 def standard_bsm(pairs=((0, 2), (1, 3))) -> CircuitMatrix:
@@ -313,6 +317,24 @@ def test_column_conditions_block_roles_for_documented_pattern():
         assert "III" in verdicts[col]
     for col in (7, 8, 9, 10):
         assert "II" in verdicts[col]
+
+
+@pytest.mark.parametrize("n_a", [4, 6])
+def test_the_conditioned_class_is_capped_at_one_bit(n_a):
+    # Qubit A's rows and qubit B's rows reach disjoint output columns, so the
+    # circuit measures each qubit on its own, which learns at most 1 bit.
+    for seed in range(10):
+        table = outcome_table(sample_conditioned_unitary(n_a, seed), n_a)
+        assert mutual_information(table).h_mutual <= 1.0 + 1e-12
+    # The permutation that maps each block's rows, in order, onto its columns
+    # reaches the cap and passes check.
+    perm = np.zeros((n_a + 4, n_a + 4))
+    for rows, cols in conditioned_block_pattern(n_a):
+        perm[rows, cols] = 1.0
+    u = CircuitMatrix(perm)
+    assert mutual_information(outcome_table(u, n_a)).h_mutual == pytest.approx(1.0, abs=1e-12)
+    assert all(verdict.satisfied for verdict in check_column_conditions(u, n_a))
+    assert not any(verdict.ambiguous for verdict in scan_bunched_two_mode(u, n_a))
 
 
 def test_column_conditions_haar_fails():

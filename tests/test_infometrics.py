@@ -126,8 +126,14 @@ def test_tables_are_scored_in_place_with_the_where_formula():
     assert np.array_equal(got, want)
     # The derivatives keep the layout of p, so the optimizer's sums keep their order.
     assert got.strides == conditional_bits_pullback(p, table.garbage)[1].strides == p.strides
-    # The information is summed in one order whatever the layout: on this
-    # Haar table, summing in memory order moves the view's bits by one ulp.
-    p = outcome_table(haar_random_unitary(8, 0), 4).p
+    g = table.garbage
+    assert float(conditional_bits(p, g)) == conditional_bits_pullback(p, g)[0]
+    # The information is summed input-major whatever the layout, which is
+    # the memory order of the view: its copies score the view's bits, and
+    # the report's value is the optimizer's.
+    table = outcome_table(haar_random_unitary(8, 0), 4)
+    p, g = table.p, table.garbage
     copies = (np.ascontiguousarray(p), np.asfortranarray(p), p[::-1, ::-1].copy()[::-1, ::-1])
     assert {float(conditional_bits(q)) for q in (p, *copies)} == {float(conditional_bits(p))}
+    for q in (p, *copies):
+        assert float(conditional_bits(q, g)) == conditional_bits_pullback(q, g)[0]

@@ -27,6 +27,7 @@ from bellopt.unitary import (
     matrix_distance_to_unitary,
     matrix_entries_from_vectors,
     matrix_entries_pullback,
+    params_to_matrix,
 )
 
 
@@ -131,6 +132,8 @@ def test_objective_is_the_value_the_descent_minimizes(n_a, seed):
     x0 = initial_vector(n_a, 0.5, np.random.default_rng(seed))
     x, f, _ = _bfgs_descent(x0, n_a, 30)
     assert objective(CircuitParams(x), n_a) == f
+    table = outcome_table(params_to_matrix(CircuitParams(x)), n_a)
+    assert mutual_information(table).h_mutual == 2 - f
 
 
 def test_steepest_descent_direction_decreases_objective():
