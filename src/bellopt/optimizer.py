@@ -3,15 +3,19 @@
 The objective minimized is the garbage-corrected conditional information of
 the four-way Bell ensemble under the circuit induced by an unconstrained
 parameter vector; maximized mutual information is 2 minus its minimum.
-Descent is BFGS with Armijo backtracking. Every line-search trial runs one
-forward that keeps what the reverse pass reads; the accepted trial's reverse
-pass chains the pullbacks of the entropy (:mod:`bellopt.infometrics`), the
-amplitude cascade (:mod:`bellopt.transfer`) and the ``eigh`` exponential
-(:mod:`bellopt.unitary`) into the gradient, so no second forward runs there.
-:func:`objective` and :func:`gradient` read that same forward. Central
-finite differences, over a batched forward of their own, stay as the test
-reference. Global search is seeded multi-start with a deterministic
-reduction.
+Descent is BFGS with Armijo backtracking by quadratic interpolation: a
+rejected trial, still counted as a backtrack, sets the next step to the
+minimizer of the quadratic through the current value, the slope and that
+trial's value, kept within 0.1-0.5 of the rejected step, and a trial is
+accepted only if it also lowers the objective strictly. Every line-search
+trial runs one forward that keeps what the reverse pass reads; the accepted
+trial's reverse pass chains the pullbacks of the entropy
+(:mod:`bellopt.infometrics`), the amplitude cascade (:mod:`bellopt.transfer`)
+and the ``eigh`` exponential (:mod:`bellopt.unitary`) into the gradient, so
+no second forward runs there. :func:`objective` and :func:`gradient` read
+that same forward. Central finite differences, over a batched forward of
+their own, stay as the test reference. Global search is seeded multi-start
+with a deterministic reduction.
 """
 
 from __future__ import annotations
@@ -49,9 +53,8 @@ from bellopt.unitary import (
 
 #: A descent stops at ``gradient_tol`` once the gradient norm is below this.
 _GRADIENT_TOL = 1e-5
-#: Armijo sufficient-decrease coefficient and backtracking shrink factor.
+#: Armijo sufficient-decrease coefficient and the most trials one search runs.
 _ARMIJO_C1 = 1e-4
-_BACKTRACK_SHRINK = 0.5
 _MAX_BACKTRACKS = 50
 #: A restart's generator reals are drawn uniform in [-_INIT_SCALE, _INIT_SCALE].
 _INIT_SCALE = 0.5
@@ -96,7 +99,9 @@ class RestartRecord:
     ``iteration_cap``. ``f_evals`` counts line-search trials (one forward
     each), ``grad_evals`` reverse passes (the start and each accepted trial),
     ``backtracks`` rejected line-search trials and ``steepest_fallbacks``
-    resets of the inverse Hessian to steepest descent.
+    resets of the inverse Hessian to steepest descent. The line search is
+    Armijo backtracking by quadratic interpolation; a trial it rejects still
+    counts as one backtrack, so ``f_evals - backtracks == iterations``.
     """
 
     restart: int
@@ -197,10 +202,14 @@ def _bfgs_descent(
             x_try = x + step_size * direction
             f_try, grad_try = _value_and_pullback(x_try, n_a)
             counts["f_evals"] += 1
-            if f_try <= f + _ARMIJO_C1 * step_size * slope:
+            if f_try < f and f_try <= f + _ARMIJO_C1 * step_size * slope:
                 return x_try, f_try, grad_try
             counts["backtracks"] += 1
-            step_size *= _BACKTRACK_SHRINK
+            # Minimizer of the quadratic through f, the slope and f_try (a
+            # rejected trial makes its denominator positive), kept in [0.1, 0.5]
+            # of the step.
+            quadratic = -slope * step_size * step_size / (2.0 * (f_try - f - slope * step_size))
+            step_size = min(0.5 * step_size, max(0.1 * step_size, quadratic))
         return None
 
     for _ in range(max_iterations):

@@ -208,6 +208,8 @@ def test_restart_records_explain_the_stop():
         # line-search trial is either the accepted one or a backtrack.
         assert record.grad_evals == record.iterations + 1
         assert record.f_evals - record.backtracks == record.iterations
+        # Every accepted step lowers the objective strictly.
+        assert np.all(np.diff(record.objective_trace) < 0.0)
         assert record.steepest_fallbacks >= 0
         if record.stop == "gradient_tol":
             assert record.grad_norm < optimizer._GRADIENT_TOL
@@ -311,6 +313,19 @@ def test_failed_steepest_search_is_not_repeated(monkeypatch):
     assert stats["iterations"] == 0
     assert stats["f_evals"] == stats["backtracks"] == optimizer._MAX_BACKTRACKS
     assert stats["steepest_fallbacks"] == 0
+
+
+def test_backtracking_lands_on_the_quadratic_minimizer(monkeypatch):
+    # f = 1.5 |x|^2 from x = 1: step 1 overshoots to x = -2 and is rejected;
+    # the quadratic through f, the slope and that trial is f itself, so the
+    # second trial (step 1/3) lands on its minimizer x = 0.
+    monkeypatch.setattr(optimizer, "_value_and_pullback",
+                        lambda x, n_a: (1.5 * x @ x, lambda: 3 * x))
+    _, _, stats = _bfgs_descent(np.ones(16), 0, 20)
+    assert stats["stop"] == "gradient_tol"
+    assert stats["iterations"] == 1
+    assert stats["f_evals"] == 2
+    assert stats["backtracks"] == 1
 
 
 def test_optimum_is_nearly_unitary_at_na0():
