@@ -70,19 +70,20 @@ def conditional_bits(p_yx: np.ndarray, garbage: np.ndarray | None = None) -> np.
 
 def conditional_bits_pullback(
     p_yx: np.ndarray, garbage: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """:func:`conditional_bits` of one table with its partial derivatives.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`conditional_bits` of one table or a stack, with its partial derivatives.
 
     Returns ``(h, dh/dp, dh/dgarbage)`` for float arrays ``p_yx`` of shape
-    (K, 4) and ``garbage`` of shape (4,), treated as independent; the garbage
-    term, (1/4) log2(G / g_x), is the kernel's arithmetic on a (1, 4) table,
-    written out. Exact zeros get derivative 0, the one-sided limit along any
-    path p = |a|^2 through them, matching the explicit branch in
-    :func:`conditional_bits`.
+    (..., K, 4) and ``garbage`` of shape (..., 4), treated as independent;
+    ``h`` has shape (...), and each table of a stack gets the numbers it
+    would get alone. The garbage term, (1/4) log2(G / g_x), is the kernel's
+    arithmetic on a (1, 4) table, written out. Exact zeros get derivative 0,
+    the one-sided limit along any path p = |a|^2 through them, matching the
+    explicit branch in :func:`conditional_bits`.
     """
     h, p_bar = _bits(p_yx)
-    g_bar = _log2_ratio(garbage, garbage.sum()) / 4.0
-    return float(h + (garbage * g_bar).sum()), p_bar, g_bar
+    g_bar = _log2_ratio(garbage, garbage.sum(axis=-1, keepdims=True)) / 4.0
+    return h + (garbage * g_bar).sum(axis=-1), p_bar, g_bar
 
 
 def mutual_information(table: OutcomeTable) -> InfoReport:

@@ -13,9 +13,22 @@ trial's reverse pass chains the pullbacks of the entropy
 (:mod:`bellopt.infometrics`), the amplitude cascade (:mod:`bellopt.transfer`)
 and the ``eigh`` exponential (:mod:`bellopt.unitary`) into the gradient, so
 no second forward runs there. :func:`objective` and :func:`gradient` read
-that same forward. Central finite differences, over a batched forward of
-their own, stay as the test reference. Global search is seeded multi-start
-with a deterministic reduction.
+that same forward, one vector as a stack of one. Central finite
+differences, over a batched forward of their own, stay as the test
+reference.
+
+Global search is seeded multi-start with a deterministic reduction. The
+descent is a coroutine: it yields each point it needs evaluated and each
+gradient it needs read. Restarts run in lockstep groups of consecutive
+indices: each round stacks every live restart's pending trial point into
+one forward over a leading batch axis, and answers each gradient request
+with that restart's own reverse pass over its slice of the kept levels. A
+group holds ``max(1, _LOCKSTEP_OUTCOMES // K)`` restarts for K outcomes, at
+most an even share of the restarts per worker, so small alphabets share a
+forward and N_a >= 4 runs one restart per group. Every product runs per
+matrix, and exp(iH) at a descent's points has no exact zeros for the
+cascade to skip, so a restart's numbers do not depend on its group;
+heartbeats arrive in restart-index order.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ from functools import partial
 import numpy as np
 
 from bellopt.errors import ContractViolationError
+from bellopt.fock import outcome_count
 from bellopt.infometrics import (
     H_X_BITS,
     InfoReport,
@@ -58,6 +72,12 @@ _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 50
 #: A restart's generator reals are drawn uniform in [-_INIT_SCALE, _INIT_SCALE].
 _INIT_SCALE = 0.5
+#: Outcomes one lockstep group's forward covers, K per restart. Stacking
+#: restarts pays where a forward is mostly numpy-call overhead: K = 10 and
+#: 126 (N_a = 0 and 2) get groups of 102 and 8. At K = 1,716 (N_a = 4) a
+#: group of 2 ran slower than two restarts alone, so from there on each
+#: restart runs alone, at the memory of one forward.
+_LOCKSTEP_OUTCOMES = 1024
 
 
 @dataclass
@@ -157,16 +177,28 @@ def _gradient_vector(x: np.ndarray, n_a: int, step: float) -> np.ndarray:
     return (values[:dim] - values[dim:]) / (2.0 * step)
 
 
-def _value_and_pullback(x: np.ndarray, n_a: int):
-    """Objective at one parameter vector, plus a thunk that returns its gradient.
+def _values_and_pullbacks(vectors: np.ndarray, n_a: int) -> tuple[list[float], list]:
+    """The objective at each row of a stack (B, dim), plus a thunk per row that returns its gradient.
 
-    The forward keeps every level the reverse pass reads, so the gradient at
-    an accepted line-search trial costs one reverse pass and no second forward.
+    One forward runs for the whole stack and keeps every level the reverse
+    passes read, so a row's gradient costs one reverse pass over its own
+    slice and no second forward. A row whose circuit has no exact zeros, as
+    at any seeded point, gets the numbers it would get alone.
     """
-    u, u_pullback = matrix_entries_pullback(x, n_a + 4)
+    u, u_pullback = matrix_entries_pullback(vectors, n_a + 4)
     p, garbage, p_pullback = bell_probability_pullback(u, n_a)
-    f, p_bar, g_bar = conditional_bits_pullback(p.T, garbage)
-    return f, lambda: u_pullback(p_pullback(p_bar.T, g_bar))
+    f, p_bar, g_bar = conditional_bits_pullback(p.swapaxes(-1, -2), garbage)
+
+    def pull(item: int) -> np.ndarray:
+        return u_pullback(p_pullback(p_bar[item].T, g_bar[item], item), item)
+
+    return f.tolist(), [partial(pull, item) for item in range(len(f))]
+
+
+def _value_and_pullback(x: np.ndarray, n_a: int):
+    """Objective at one parameter vector, plus a thunk that returns its gradient: a stack of one."""
+    values, pulls = _values_and_pullbacks(x[None], n_a)
+    return values[0], pulls[0]
 
 
 def gradient(params: CircuitParams, n_a: int) -> np.ndarray:
@@ -175,17 +207,19 @@ def gradient(params: CircuitParams, n_a: int) -> np.ndarray:
     return _value_and_pullback(params.to_vector(), n_a)[1]()
 
 
-def _bfgs_descent(
-    x0: np.ndarray, n_a: int, max_iterations: int
-) -> tuple[np.ndarray, float, dict]:
-    """Minimize the objective from x0.
+def _bfgs_descent(x0: np.ndarray, max_iterations: int):
+    """Minimize an objective from x0: a coroutine that asks for every evaluation.
 
-    Returns (x, f, stats) with stats holding the :class:`RestartRecord`
-    fields other than ``restart`` and ``h_mutual``.
+    It yields each point it needs evaluated and must be sent ``(f, pull)``
+    for it, ``pull`` a thunk that returns the gradient there; to read that
+    gradient it yields ``pull`` back and must be sent the gradient.
+    :func:`_lockstep` answers these requests. It returns (x, f, stats) with
+    stats holding the :class:`RestartRecord` fields other than ``restart``
+    and ``h_mutual``.
     """
     x = np.array(x0, dtype=np.float64)
-    f, grad = _value_and_pullback(x, n_a)
-    g = grad()
+    f, grad = yield x
+    g = yield grad
     trace = [f]
     h_inv = None  # inverse-Hessian estimate; None means steepest descent
     iterations = 0
@@ -200,7 +234,7 @@ def _bfgs_descent(
         step_size = 1.0
         for _ in range(_MAX_BACKTRACKS):
             x_try = x + step_size * direction
-            f_try, grad_try = _value_and_pullback(x_try, n_a)
+            f_try, grad_try = yield x_try
             counts["f_evals"] += 1
             if f_try < f and f_try <= f + _ARMIJO_C1 * step_size * slope:
                 return x_try, f_try, grad_try
@@ -216,20 +250,20 @@ def _bfgs_descent(
         if math.sqrt(g @ g) < _GRADIENT_TOL:
             stop = "gradient_tol"
             break
-        accepted = backtrack(-g if h_inv is None else -(h_inv @ g))
+        accepted = yield from backtrack(-g if h_inv is None else -(h_inv @ g))
         if accepted is None and h_inv is not None:
             # The quasi-Newton direction is uphill or poorly scaled: drop the
             # curvature information and search along -g instead.
             h_inv = None
             counts["steepest_fallbacks"] += 1
-            accepted = backtrack(-g)
+            accepted = yield from backtrack(-g)
         if accepted is None:
             # No representable decrease: objective is at its numerical floor.
             stop = "line_search_floor"
             break
         x_new, f_new, grad_new = accepted
 
-        g_new = grad_new()
+        g_new = yield grad_new
         counts["grad_evals"] += 1
         s = x_new - x
         y = g_new - g
@@ -254,22 +288,50 @@ def _bfgs_descent(
     return x, f, stats
 
 
+def _lockstep(descents: list, evaluate) -> list[tuple[np.ndarray, float, dict]]:
+    """Run :func:`_bfgs_descent` coroutines side by side; each one's (x, f, stats), in order.
+
+    Each round stacks every live descent's pending point into one call of
+    ``evaluate``, which maps a (B, dim) stack to B values and B gradient
+    thunks, such as :func:`_values_and_pullbacks`. A descent that yields a
+    thunk back gets its gradient at once, so every thunk runs in the round
+    whose forward it reads. A descent's numbers do not depend on which
+    others share its rounds.
+    """
+    ends: list = [None] * len(descents)
+    pending = {k: next(descent) for k, descent in enumerate(descents)}
+    while pending:
+        live = list(pending)
+        values, pulls = evaluate(np.array([pending.pop(k) for k in live]))
+        for k, answer in zip(live, zip(values, pulls)):
+            try:
+                request = descents[k].send(answer)
+                while callable(request):
+                    request = descents[k].send(request())
+                pending[k] = request
+            except StopIteration as end:
+                ends[k] = end.value
+    return ends
+
+
 def initial_vector(n_a: int, init_scale: float, rng: np.random.Generator) -> np.ndarray:
     """Random start: the M^2 generator reals uniform in [-scale, scale]."""
     m = n_a + 4
     return rng.uniform(-init_scale, init_scale, m * m)
 
 
-def _run_restart(cfg: OptimizerConfig, index: int) -> tuple[RestartRecord, np.ndarray]:
-    """One seeded descent: restart ``index`` of ``cfg``, and where it ended.
+def _run_group(cfg: OptimizerConfig, indices: range) -> list[tuple[RestartRecord, np.ndarray]]:
+    """Restarts ``indices`` of ``cfg`` in lockstep: each one's record and end point, in order.
 
-    ``SeedSequence(seed, spawn_key=(index,))`` is the ``index``-th child of
-    ``SeedSequence(seed).spawn(...)``, built without its siblings.
+    Restart i starts from ``SeedSequence(seed, spawn_key=(i,))``, the i-th
+    child of ``SeedSequence(seed).spawn(...)``, built without its siblings.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
-    x0 = initial_vector(cfg.n_a, _INIT_SCALE, rng)
-    x, f, stats = _bfgs_descent(x0, cfg.n_a, cfg.max_iterations)
-    return RestartRecord(restart=index, h_mutual=H_X_BITS - f, **stats), x
+    starts = [initial_vector(cfg.n_a, _INIT_SCALE, np.random.default_rng(
+        np.random.SeedSequence(cfg.seed, spawn_key=(index,)))) for index in indices]
+    ends = _lockstep([_bfgs_descent(x0, cfg.max_iterations) for x0 in starts],
+                     partial(_values_and_pullbacks, n_a=cfg.n_a))
+    return [(RestartRecord(restart=index, h_mutual=H_X_BITS - f, **stats), x)
+            for index, (x, f, stats) in zip(indices, ends)]
 
 
 def _usable_cpus() -> int:
@@ -283,14 +345,24 @@ def optimize(cfg: OptimizerConfig, progress=None) -> OptimizationResult:
     """Multi-start quasi-Newton run; returns the best analyzer found.
 
     Restart i draws its start from the i-th spawn of SeedSequence(cfg.seed),
-    so results do not depend on the level of parallelism, and ties between
-    restarts break toward the lowest index. At most one worker process runs
-    per restart and per usable CPU, whatever ``cfg.parallelism`` asks for.
+    so results do not depend on the level of parallelism or on the groups,
+    and ties between restarts break toward the lowest index. Restarts run
+    in groups of consecutive indices, each group in lockstep through one
+    batched forward per round (:func:`_lockstep`). A group holds
+    ``max(1, _LOCKSTEP_OUTCOMES // K)`` restarts, K the outcome count, but
+    no more than an even share of the restarts per worker. The groups run
+    in this process or in a process pool, with at most one worker per group
+    and per usable CPU, whatever ``cfg.parallelism`` asks for.
     ``progress``, if given, is called with (record, done_count, total) as
-    restarts finish.
+    each group finishes, once per restart, in restart-index order.
     """
     t0 = time.perf_counter()
     workers = min(cfg.parallelism, cfg.restarts, _usable_cpus())
+    size = min(max(1, _LOCKSTEP_OUTCOMES // outcome_count(cfg.n_a + 2, cfg.m)),
+               math.ceil(cfg.restarts / workers))
+    groups = [range(start, min(start + size, cfg.restarts))
+              for start in range(0, cfg.restarts, size)]
+    workers = min(workers, len(groups))
     records: list[RestartRecord] = []
     vectors: list[np.ndarray] = []
     if workers > 1:
@@ -299,11 +371,12 @@ def optimize(cfg: OptimizerConfig, progress=None) -> OptimizationResult:
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        for record, x in run(partial(_run_restart, cfg), range(cfg.restarts)):
-            records.append(record)
-            vectors.append(x)
-            if progress is not None:
-                progress(record, len(records), cfg.restarts)
+        for group in run(partial(_run_group, cfg), groups):
+            for record, x in group:
+                records.append(record)
+                vectors.append(x)
+                if progress is not None:
+                    progress(record, len(records), cfg.restarts)
 
     best = min(records, key=lambda r: (-r.h_mutual, r.restart))
     best_params = CircuitParams.from_vector(vectors[best.restart], cfg.m)

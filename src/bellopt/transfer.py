@@ -7,11 +7,15 @@ rank arithmetic rather than a per-state lookup, and one product with the
 creation-operator rows sums them; a level whose rows are exactly zero on
 some modes gathers only the rest. This cascade is the engine of every
 outcome table: the optimizer, the information metrics and the conditions
-experiment read it. :func:`bell_probability_pullback` keeps its levels and
-runs it in reverse for the optimizer's gradient. :func:`two_mode_amplitudes`
-runs the same recursion, with the same branch table, restricted to two
-output modes, for the bunched outcomes the conditions checker scans,
-without the rest of the alphabet.
+experiment read it. It runs over a stack of matrices on a leading axis,
+one matrix being a stack of one. Every product runs per matrix, so each
+matrix gets the numbers it gets alone, unless the stack mixes exact-zero
+patterns: a stack gathers every mode that any of its rows reaches.
+:func:`bell_probability_pullback` keeps its levels and runs it in reverse,
+one matrix at a time, for the optimizer's gradient.
+:func:`two_mode_amplitudes` runs the same recursion, with the same branch
+table, restricted to two output modes, for the bunched outcomes the
+conditions checker scans, without the rest of the alphabet.
 
 Outcomes are the rows of :func:`bellopt.fock.enumerate_outcomes`. Two
 independent routes to the same amplitudes stay here as test references; they
@@ -247,7 +251,7 @@ def bell_amplitudes(u: CircuitMatrix, y: tuple[int, ...], n_a: int) -> np.ndarra
 
 def outcome_probabilities(amps: np.ndarray, c) -> np.ndarray:
     """(p(y|1), ..., p(y|4)) from amplitude rows (..., 4) and their bosonic factors (...)."""
-    sums = np.moveaxis(_pair_sums(np.moveaxis(amps, -1, 0).copy()), 0, -1)
+    sums = _pair_sums(amps[..., None].copy())[..., 0]
     return np.asarray(c)[..., None] * (sums.real**2 + sums.imag**2)
 
 
@@ -357,24 +361,28 @@ _BRANCH_ROWS = read_only(np.array([[0, 1], [1, 0]]))
 
 
 def _cascade(u: np.ndarray, n_a: int):
-    """Every level of the cascade for one (M, M) matrix.
+    """Every level of the cascade for a stack of (M, M) matrices, (B, M, M).
 
-    Returns ``(levels, (q1, q2), amps)``: the ancilla levels 0..n_a, the two
-    one-qubit-photon levels, and the four branch amplitudes a1, a2, a3, a4
-    as the rows of one (4, K) array. The reverse pass reads the kept levels.
+    Returns ``(levels, qs, amps)``: the ancilla levels 0..n_a, each (B, K_j);
+    the two one-qubit-photon levels as one (B, 2, K') array; and the four
+    branch amplitudes a1, a2, a3, a4 as the rows of one (B, 4, K) array.
+    Every product runs per matrix, so each matrix of a stack without exact
+    zeros gets the numbers it would get alone. The reverse pass reads the
+    kept levels.
     """
     m = n_a + 4
-    padded = [np.array([1.0, 0.0], dtype=np.complex128)]
+    padded = [np.zeros((len(u), 2), dtype=np.complex128)]
+    padded[0][:, 0] = 1.0
     for j in range(n_a):
-        padded.append(_creation_step(u[j], padded[-1], j, m))
+        padded.append(_creation_step(u[:, j:j + 1], padded[-1], j, m)[:, 0])
     # Both qubit levels share one gather per level, and the transposed view
     # lays the four branches out in the order of _BRANCH_ROWS.
-    qs = _creation_step(u[n_a:n_a + 2], padded[-1], n_a, m)
-    amps = np.empty((4, outcome_count(n_a + 2, m)), dtype=np.complex128)
-    rows = u[n_a + 2:].take(_BRANCH_ROWS, axis=0)
-    _creation_step(rows, qs, n_a + 1, m, out=amps.reshape(2, 2, -1).swapaxes(0, 1))
-    levels = [level[:-1] for level in padded]
-    return levels, (qs[0, :-1], qs[1, :-1]), amps
+    qs = _creation_step(u[:, n_a:n_a + 2], padded[-1], n_a, m)
+    amps = np.empty((len(u), 4, outcome_count(n_a + 2, m)), dtype=np.complex128)
+    rows = u[:, n_a + 2:].take(_BRANCH_ROWS, axis=1)
+    _creation_step(rows, qs, n_a + 1, m, out=amps.reshape(len(u), 2, 2, -1).swapaxes(1, 2))
+    levels = [level[:, :-1] for level in padded]
+    return levels, qs[..., :-1], amps
 
 
 def two_mode_amplitudes(u_entries: np.ndarray, n_a: int, occupations) -> np.ndarray:
@@ -435,13 +443,13 @@ def bell_probability_parts(u_flat: np.ndarray, n_a: int) -> tuple[np.ndarray, np
 
 
 def _pair_sums(rows: np.ndarray) -> np.ndarray:
-    """Rows (r0, r1, r2, r3) become (r0 + r1, r0 - r1, r2 + r3, r2 - r3), in place.
+    """Rows (r0, r1, r2, r3) along axis -2 become (r0 + r1, r0 - r1, r2 + r3, r2 - r3), in place.
 
     The Bell sums of the branch amplitudes, and in reverse the branch
     gradients from the sums'; both pairs go at once, through one temporary
     the size of two rows.
     """
-    first, second = rows[0::2], rows[1::2]
+    first, second = rows[..., 0::2, :], rows[..., 1::2, :]
     difference = first - second
     first += second
     second[...] = difference
@@ -468,38 +476,43 @@ def _pull_creation_row(
 
 
 def bell_probability_pullback(u: np.ndarray, n_a: int):
-    """One matrix's outcome probabilities, plus the map back to the matrix.
+    """Outcome probabilities of one matrix or a stack, plus the map back to a matrix.
 
-    Returns ``(p, garbage, pullback)`` with ``p`` of shape (4, K) in the
-    layout of :func:`bell_probability_parts` and ``garbage`` of shape (4,).
-    ``pullback(p_bar, g_bar)`` takes the derivatives of a real function with
-    respect to ``p`` and ``garbage`` and returns its gradient with respect to
-    the (M, M) complex matrix, as d/dRe U + i d/dIm U. The forward keeps every
-    cascade level, so the reverse pass costs about one forward.
+    ``u`` is one (M, M) matrix or a stack (B, M, M); one matrix runs as a
+    stack of one, and each matrix of a stack gets the numbers it would get
+    alone where the stack shares its exact zeros (see :func:`_cascade`).
+    Returns ``(p, garbage, pullback)`` with ``p`` of shape (..., 4, K)
+    in the layout of :func:`bell_probability_parts` and ``garbage`` of shape
+    (..., 4). ``pullback(p_bar, g_bar, item=0)`` takes the derivatives of a
+    real function with respect to one matrix's ``p`` (4, K) and ``garbage``
+    (4,) and returns its gradient with respect to that (M, M) matrix, as
+    d/dRe U + i d/dIm U; ``item`` picks the matrix of a stack. The forward
+    keeps every cascade level, so the reverse pass costs about one forward.
     """
     u = np.asarray(u, dtype=np.complex128)
-    require_modes(u.shape, n_a)
-    levels, (q1, q2), amps = _cascade(u, n_a)
-    c = _bosonic_factor_array(n_a + 2, len(u))
+    require_modes(u.shape[-2:], n_a)
+    stack = u.reshape((-1,) + u.shape[-2:])
+    levels, qs, amps = _cascade(stack, n_a)
+    c = _bosonic_factor_array(n_a + 2, stack.shape[-1])
     # The reverse pass keeps only the four sums, one per Bell input. They
     # overwrite the amplitudes to keep peak memory down at large K, as does
     # squaring the imaginary parts one pair of rows at a time.
     sums = _pair_sums(amps)
     p = np.square(sums.real)
-    for p_pair, sum_pair in zip(p.reshape(2, 2, -1), sums.reshape(2, 2, -1)):
-        p_pair += np.square(sum_pair.imag)
+    for pair in (slice(0, 2), slice(2, 4)):
+        p[:, pair] += np.square(sums[:, pair].imag)
     p *= c
-    leak = 1.0 - p.sum(axis=1)
+    leak = 1.0 - p.sum(axis=-1)
     garbage = np.maximum(leak, 0.0)
 
-    def pullback(p_bar: np.ndarray, g_bar: np.ndarray) -> np.ndarray:
+    def pullback(p_bar: np.ndarray, g_bar: np.ndarray, item: int = 0) -> np.ndarray:
         # garbage = max(1 - sum_y p, 0): clamped inputs pass no gradient.
-        p_bar = p_bar - np.where(leak > 0.0, g_bar, 0.0)[:, None]
-        a_bar = _pair_sums((2.0 * c) * p_bar * sums)
-        conj_u = np.conj(u)
-        u_bar = np.empty_like(u)
+        p_bar = p_bar - np.where(leak[item] > 0.0, g_bar, 0.0)[:, None]
+        a_bar = _pair_sums((2.0 * c) * p_bar * sums[item])
+        conj_u = np.conj(stack[item])
+        u_bar = np.empty_like(conj_u)
         # Each branch's pull, paired as in _BRANCH_ROWS.
-        q1_conj, q2_conj = np.conj(q1), np.conj(q2)
+        q1_conj, q2_conj = np.conj(qs[item])
         r2_conj, r3_conj = conj_u[n_a + 2], conj_u[n_a + 3]
         q1_from_a1, r2_from_a1 = _pull_creation_row(q1_conj, r2_conj, n_a + 1, a_bar[0])
         q2_from_a2, r3_from_a2 = _pull_creation_row(q2_conj, r3_conj, n_a + 1, a_bar[1])
@@ -507,17 +520,19 @@ def bell_probability_pullback(u: np.ndarray, n_a: int):
         q2_from_a4, r2_from_a4 = _pull_creation_row(q2_conj, r2_conj, n_a + 1, a_bar[3])
         u_bar[n_a + 2] = r2_from_a1 + r2_from_a4
         u_bar[n_a + 3] = r3_from_a3 + r3_from_a2
-        level = np.conj(levels[n_a])
+        level = np.conj(levels[n_a][item])
         from_q1, u_bar[n_a] = _pull_creation_row(
             level, conj_u[n_a], n_a, q1_from_a1 + q1_from_a3)
         from_q2, u_bar[n_a + 1] = _pull_creation_row(
             level, conj_u[n_a + 1], n_a, q2_from_a2 + q2_from_a4)
         vec_bar = from_q1 + from_q2 if n_a else None
         for j in range(n_a - 1, -1, -1):
-            vec_bar, u_bar[j] = _pull_creation_row(np.conj(levels[j]), conj_u[j], j, vec_bar)
+            vec_bar, u_bar[j] = _pull_creation_row(
+                np.conj(levels[j][item]), conj_u[j], j, vec_bar)
         return u_bar
 
-    return p, garbage, pullback
+    batch = u.shape[:-2]
+    return p.reshape(batch + p.shape[1:]), garbage.reshape(batch + (4,)), pullback
 
 
 def outcome_table(u: CircuitMatrix, n_a: int) -> OutcomeTable:

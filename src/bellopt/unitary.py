@@ -133,13 +133,16 @@ def matrix_entries_from_vectors(vectors: np.ndarray, m: int) -> np.ndarray:
     return expm_i_hermitian(hermitian_from_storage(vectors, m))
 
 
-def matrix_entries_pullback(vector: np.ndarray, m: int):
-    """One circuit matrix, plus the map from its gradient to the parameters'.
+def matrix_entries_pullback(vectors: np.ndarray, m: int):
+    """Circuit matrices for one vector (M^2,) or a stack (B, M^2), plus the map back.
 
     Returns ``(u, pullback)`` where ``u`` equals
-    :func:`matrix_entries_from_vectors` of ``vector`` and ``pullback(u_bar)``
-    turns the gradient of a real function with respect to ``u`` (stored as
-    d/dRe U + i d/dIm U) into its gradient over the M^2 parameters.
+    :func:`matrix_entries_from_vectors` of ``vectors`` and
+    ``pullback(u_bar, item=0)`` turns the gradient of a real function with
+    respect to one matrix (stored as d/dRe U + i d/dIm U) into its gradient
+    over that matrix's M^2 parameters; ``item`` picks the matrix of a stack.
+    One vector is a stack of one: every matrix of a stack gets the numbers
+    it would get alone.
 
     Daleckii-Krein: with H = Q diag(w) Q^dag, the derivative of exp(i*H) is
     Q (F o (Q^dag dH Q)) Q^dag with divided differences
@@ -147,26 +150,27 @@ def matrix_entries_pullback(vector: np.ndarray, m: int):
     as w_k -> w_j. Written as i e^{i (w_j + w_k)/2} sinc((w_j - w_k) / 2pi),
     the same expression covers equal and nearly equal eigenvalues.
     """
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (m * m,):
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim not in (1, 2) or vectors.shape[-1] != m * m:
         raise ContractViolationError(
-            f"parameter vector for m={m} must have length {m * m}, got {vector.shape}"
+            f"parameter vector for m={m} must have length {m * m}, got {vectors.shape}"
         )
-    eigvals, eigvecs = np.linalg.eigh(hermitian_from_storage(vector, m))
-    eigvecs_h = np.conj(eigvecs.T)
-    u = (eigvecs * np.exp(1j * eigvals)) @ eigvecs_h
+    eigvals, eigvecs = np.linalg.eigh(hermitian_from_storage(vectors.reshape(-1, m * m), m))
+    eigvecs_h = np.conj(eigvecs.swapaxes(-1, -2))
+    u = (eigvecs * np.exp(1j * eigvals)[:, None, :]) @ eigvecs_h
 
-    def pullback(u_bar: np.ndarray) -> np.ndarray:
-        gap = eigvals[:, None] - eigvals[None, :]
-        mean = (eigvals[:, None] + eigvals[None, :]) / 2.0
+    def pullback(u_bar: np.ndarray, item: int = 0) -> np.ndarray:
+        w, q, q_h = eigvals[item], eigvecs[item], eigvecs_h[item]
+        gap = w[:, None] - w[None, :]
+        mean = (w[:, None] + w[None, :]) / 2.0
         divided = 1j * np.exp(1j * mean) * np.sinc(gap / (2.0 * np.pi))
-        inner = eigvecs_h @ u_bar @ eigvecs
-        h_bar = eigvecs @ (np.conj(divided) * inner) @ eigvecs_h
+        inner = q_h @ u_bar @ q
+        h_bar = q @ (np.conj(divided) * inner) @ q_h
         # Re(conj(B) @ vec(h_bar)) over the storage basis B of
         # hermitian_from_storage: each real gets its one or two entries.
         return _storage_basis(m).view(np.float64) @ h_bar.reshape(-1).view(np.float64)
 
-    return u, pullback
+    return u.reshape(vectors.shape[:-1] + (m, m)), pullback
 
 
 def params_to_matrix(params: CircuitParams) -> CircuitMatrix:

@@ -11,6 +11,7 @@ process, on one BLAS.
 
 import numpy as np
 
+from bellopt.infometrics import conditional_bits_pullback
 from bellopt.transfer import (
     _GATHER_BLOCK,
     _bosonic_factor_array,
@@ -127,3 +128,11 @@ def bell_probability_pullback(u: np.ndarray, n_a: int):
         return u_bar
 
     return p, garbage, pullback
+
+
+def value_and_pullback(x: np.ndarray, n_a: int):
+    """The objective at one vector, and a thunk for its gradient, through the references above."""
+    u, u_pullback = matrix_entries_pullback(x, n_a + 4)
+    p, garbage, p_pullback = bell_probability_pullback(u, n_a)
+    f, p_bar, g_bar = conditional_bits_pullback(p.T, garbage)
+    return f, lambda: u_pullback(p_pullback(p_bar.T, g_bar))

@@ -197,7 +197,7 @@ def test_two_mode_scan_matches_the_whole_alphabet_cascade(case):
     n_a, make = TWO_MODE_CASES[case]
     u = make()
     bunched = _bunched_indices(n_a)
-    want = transfer._cascade(u.entries, n_a)[2].T[bunched]
+    want = transfer._cascade(u.entries[None], n_a)[2][0].T[bunched]
     outcomes = bunched_two_mode_outcomes(n_a)
     assert np.max(np.abs(two_mode_amplitudes(u.entries, n_a, outcomes) - want)) <= 1e-12
     reference = clause_verdicts(outcomes, want, _bosonic_factor_array(n_a + 2, n_a + 4)[bunched])

@@ -1,11 +1,18 @@
 """The optimizer's forward and reverse passes equal their earlier forms bit for bit."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 import reference
-from bellopt import optimizer
-from bellopt.optimizer import _bfgs_descent, initial_vector
+from bellopt.optimizer import (
+    _bfgs_descent,
+    _lockstep,
+    _value_and_pullback,
+    _values_and_pullbacks,
+    initial_vector,
+)
 from bellopt.transfer import bell_probability_pullback
 from bellopt.unitary import (
     haar_random_unitary,
@@ -66,14 +73,30 @@ def test_probability_pullback_matches_per_pull_reference(kind, n_a):
     assert np.array_equal(pullback(p_bar, g_bar), want_pullback(p_bar, g_bar))
 
 
+@pytest.mark.parametrize("rows", [[0], [0, 1, 2, 1, 3]], ids=["one", "repeated-row"])
+@pytest.mark.parametrize("n_a", [0, 2, 4])
+def test_stacked_evaluation_equals_each_row_alone(n_a, rows):
+    # Each row of one stacked forward gets the value and the gradient it gets
+    # alone and from the references, with the gradients read in any order.
+    rng = np.random.default_rng(40 + n_a)
+    points = np.stack([initial_vector(n_a, 0.5, rng) for _ in range(4)])[rows]
+    values, pulls = _values_and_pullbacks(points, n_a)
+    assert len(values) == len(pulls) == len(rows)
+    gradients = [pull() for pull in reversed(pulls)][::-1]
+    for x, f, g in zip(points, values, gradients):
+        f_alone, pull_alone = _value_and_pullback(x, n_a)
+        want_f, want_pull = reference.value_and_pullback(x, n_a)
+        assert type(f) is float and f == f_alone == want_f
+        assert np.array_equal(g, pull_alone()) and np.array_equal(g, want_pull())
+
+
 @pytest.mark.parametrize("n_a", [0, 2])
-def test_descent_trace_matches_reference_pullbacks(monkeypatch, n_a):
+def test_descent_trace_matches_reference_pullbacks(n_a):
     x0 = initial_vector(n_a, 0.5, np.random.default_rng(9 + n_a))
-    x, f, stats = _bfgs_descent(x0, n_a, 40)
-    monkeypatch.setattr(optimizer, "matrix_entries_pullback", reference.matrix_entries_pullback)
-    monkeypatch.setattr(optimizer, "bell_probability_pullback",
-                        reference.bell_probability_pullback)
-    want_x, want_f, want_stats = _bfgs_descent(x0, n_a, 40)
+    [(x, f, stats)] = _lockstep([_bfgs_descent(x0, 40)], partial(_values_and_pullbacks, n_a=n_a))
+    [(want_x, want_f, want_stats)] = _lockstep(
+        [_bfgs_descent(x0, 40)],
+        lambda points: tuple(zip(*(reference.value_and_pullback(x, n_a) for x in points))))
     assert stats["backtracks"] > 0  # rejected trials are on the compared path too
     assert stats == want_stats
     assert f == want_f and np.array_equal(x, want_x)

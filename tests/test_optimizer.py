@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from bellopt.optimizer import (
     RestartRecord,
     _bfgs_descent,
     _gradient_vector,
+    _lockstep,
     _objective_vectors,
     _value_and_pullback,
+    _values_and_pullbacks,
     gradient,
     initial_vector,
     objective,
@@ -29,6 +32,17 @@ from bellopt.unitary import (
     matrix_entries_pullback,
     params_to_matrix,
 )
+
+
+def descend(x0: np.ndarray, n_a: int, max_iterations: int):
+    """One descent from x0, answered by the production evaluator: (x, f, stats)."""
+    return _lockstep([_bfgs_descent(x0, max_iterations)],
+                     partial(_values_and_pullbacks, n_a=n_a))[0]
+
+
+def one_at_a_time(value_and_pullback):
+    """A stack evaluator that answers each point x with ``value_and_pullback(x)``."""
+    return lambda points: tuple(zip(*map(value_and_pullback, points)))
 
 
 def test_objective_identity_is_one_bit():
@@ -130,7 +144,7 @@ def test_gradient_is_the_reverse_pass():
 @pytest.mark.parametrize("n_a", [0, 2, 4])
 def test_objective_is_the_value_the_descent_minimizes(n_a, seed):
     x0 = initial_vector(n_a, 0.5, np.random.default_rng(seed))
-    x, f, _ = _bfgs_descent(x0, n_a, 30)
+    x, f, _ = descend(x0, n_a, 30)
     assert objective(CircuitParams(x), n_a) == f
     table = outcome_table(params_to_matrix(CircuitParams(x)), n_a)
     assert mutual_information(table).h_mutual == 2 - f
@@ -228,16 +242,16 @@ def test_descent_runs_one_forward_per_trial(monkeypatch, n_a):
     def counting_pullback(u, n):
         p, garbage, pullback = probability_pullback(u, n)
 
-        def counted(p_bar, g_bar):
+        def counted(*args):
             calls["reverse"] += 1
-            return pullback(p_bar, g_bar)
+            return pullback(*args)
 
         return p, garbage, counted
 
     monkeypatch.setattr(transfer, "_cascade", counting_cascade)
     monkeypatch.setattr(optimizer, "bell_probability_pullback", counting_pullback)
     x0 = initial_vector(n_a, 0.5, np.random.default_rng(3))
-    _, _, stats = _bfgs_descent(x0, n_a, 20)
+    _, _, stats = descend(x0, n_a, 20)
     # Backtracks happened, so trials and gradients differ in number.
     assert stats["backtracks"] > 0
     # The start plus one forward per trial; the accepted trial's forward
@@ -261,20 +275,14 @@ def _stub_restart(cfg, index):
     return record, np.full(cfg.m * cfg.m, 1e-3 * index)
 
 
-@pytest.mark.parametrize(("parallelism", "restarts", "workers"), [
-    pytest.param(5000, 5000, [3], id="cpus-bound"),
-    pytest.param(5000, 8, [3], id="cpus-bound-few-restarts"),
-    pytest.param(2, 5000, [2], id="parallelism-bound"),
-    pytest.param(8, 2, [2], id="restarts-bound"),
-    pytest.param(1, 8, [], id="serial"),  # one worker runs in this process
-])
-def test_pool_is_bounded_by_restarts_and_usable_cpus(monkeypatch, parallelism, restarts,
-                                                     workers):
-    sizes = []
+def _stub_group(cfg, indices):
+    return [_stub_restart(cfg, index) for index in indices]
+
+
+def recording_pool(sizes: list):
+    """A stand-in for ProcessPoolExecutor that appends its size to ``sizes`` and maps serially."""
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records its size and maps serially."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -287,9 +295,23 @@ def test_pool_is_bounded_by_restarts_and_usable_cpus(monkeypatch, parallelism, r
         def map(self, fn, items):
             return map(fn, items)
 
+    return RecordingPool
+
+
+@pytest.mark.parametrize(("parallelism", "restarts", "workers"), [
+    pytest.param(5000, 5000, [3], id="cpus-bound"),
+    pytest.param(5000, 8, [3], id="cpus-bound-few-restarts"),
+    pytest.param(2, 5000, [2], id="parallelism-bound"),
+    pytest.param(8, 2, [2], id="restarts-bound"),
+    pytest.param(3, 4, [2], id="groups-bound"),  # groups of ceil(4 / 3) = 2
+    pytest.param(1, 8, [], id="serial"),  # one worker runs in this process
+])
+def test_pool_is_bounded_by_restarts_and_usable_cpus(monkeypatch, parallelism, restarts,
+                                                     workers):
+    sizes = []
     # No process is started: the pool is a serial recorder and restarts are stubs.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(optimizer, "_run_restart", _stub_restart)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(optimizer, "_run_group", _stub_group)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     cfg = OptimizerConfig(n_a=0, restarts=restarts, parallelism=parallelism)
     result = optimize(cfg)
@@ -301,27 +323,66 @@ def test_pool_is_bounded_by_restarts_and_usable_cpus(monkeypatch, parallelism, r
     assert np.array_equal(result.best_params.h_gen, np.full(16, 1e-3 * best))
 
 
-def test_failed_steepest_search_is_not_repeated(monkeypatch):
+@pytest.mark.parametrize("n_a", [0, 2])
+def test_records_do_not_depend_on_the_groups(monkeypatch, n_a):
+    # One group of 8, groups of one, and two groups of 4 mapped by a serial
+    # stand-in for the pool: the same records, traces and end points, and
+    # heartbeats in restart-index order. No process is started.
+    run_group = optimizer._run_group
+
+    def run(parallelism, **patches):
+        groups, heartbeats, ends = [], [], []
+
+        def recording_group(cfg, indices):
+            groups.append(list(indices))
+            pairs = run_group(cfg, indices)
+            ends.extend(x for _, x in pairs)
+            return pairs
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "_run_group", recording_group)
+            for name, value in patches.items():
+                patch.setattr(optimizer, name, value)
+            cfg = OptimizerConfig(n_a=n_a, restarts=8, seed=3, max_iterations=40,
+                                  parallelism=parallelism)
+            result = optimize(cfg, progress=lambda record, done, total: heartbeats.append(
+                (record.restart, done, total)))
+        assert heartbeats == [(i, i + 1, 8) for i in range(8)]
+        return groups, (result.per_restart, ends)
+
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    groups, together = run(1)
+    assert groups == [list(range(8))]
+    groups, alone = run(1, _LOCKSTEP_OUTCOMES=1)
+    assert groups == [[i] for i in range(8)]
+    groups, split = run(2)
+    assert groups == [[0, 1, 2, 3], [4, 5, 6, 7]] and sizes == [2]
+    for records, ends in (alone, split):
+        assert records == together[0]
+        assert all(np.array_equal(x, y) for x, y in zip(ends, together[1], strict=True))
+
+
+def test_failed_steepest_search_is_not_repeated():
     # Every trial is worse than the start, so the first search along -g
     # fails; searching -g again could only fail the same way.
-    def rising(x, n_a):
+    def rising(x):
         return 1.0 + float(np.abs(x).sum()), lambda: np.ones_like(x)
 
-    monkeypatch.setattr(optimizer, "_value_and_pullback", rising)
-    _, _, stats = _bfgs_descent(np.zeros(16), 0, 20)
+    _, _, stats = _lockstep([_bfgs_descent(np.zeros(16), 20)], one_at_a_time(rising))[0]
     assert stats["stop"] == "line_search_floor"
     assert stats["iterations"] == 0
     assert stats["f_evals"] == stats["backtracks"] == optimizer._MAX_BACKTRACKS
     assert stats["steepest_fallbacks"] == 0
 
 
-def test_backtracking_lands_on_the_quadratic_minimizer(monkeypatch):
+def test_backtracking_lands_on_the_quadratic_minimizer():
     # f = 1.5 |x|^2 from x = 1: step 1 overshoots to x = -2 and is rejected;
     # the quadratic through f, the slope and that trial is f itself, so the
     # second trial (step 1/3) lands on its minimizer x = 0.
-    monkeypatch.setattr(optimizer, "_value_and_pullback",
-                        lambda x, n_a: (1.5 * x @ x, lambda: 3 * x))
-    _, _, stats = _bfgs_descent(np.ones(16), 0, 20)
+    quadratic = one_at_a_time(lambda x: (1.5 * x @ x, lambda: 3 * x))
+    _, _, stats = _lockstep([_bfgs_descent(np.ones(16), 20)], quadratic)[0]
     assert stats["stop"] == "gradient_tol"
     assert stats["iterations"] == 1
     assert stats["f_evals"] == 2

@@ -441,9 +441,10 @@ def test_bell_probability_pullback_matches_finite_differences(n_a, conditioned):
 def test_gather_cascade_matches_the_scatter_reference(kind, n_a):
     m = n_a + 4
     u = circuit(kind, n_a, 40 + n_a)
-    got_levels, got_qs, got_amps = _cascade(u, n_a)
+    got_levels, got_qs, got_amps = _cascade(u[None], n_a)  # a stack of one
     want_levels, want_qs, want_amps = reference_cascade(u, n_a)
-    got, want = [*got_levels, *got_qs, *got_amps], [*want_levels, *want_qs, *want_amps]
+    got = [*(level[0] for level in got_levels), *got_qs[0], *got_amps[0]]
+    want = [*want_levels, *want_qs, *want_amps]
     assert len(got) == len(want) == n_a + 7
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -451,7 +452,7 @@ def test_gather_cascade_matches_the_scatter_reference(kind, n_a):
     want_p = outcome_probabilities(np.stack(want_amps, axis=-1), _bosonic_factor_array(n_a + 2, m))
     assert np.max(np.abs(outcome_table(CircuitMatrix(u), n_a).p - want_p)) <= 1e-12
     if n_a == 6:  # K = 11,440 and 24,310: both top levels span several blocks
-        assert len(got_qs[0]) > 2 * _GATHER_BLOCK and len(got_amps[0]) > 2 * _GATHER_BLOCK
+        assert got_qs.shape[-1] > 2 * _GATHER_BLOCK and got_amps.shape[-1] > 2 * _GATHER_BLOCK
 
 
 def test_forward_caches_only_its_map_and_bounds_its_peak():
