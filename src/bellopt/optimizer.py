@@ -18,17 +18,17 @@ differences, over a batched forward of their own, stay as the test
 reference.
 
 Global search is seeded multi-start with a deterministic reduction. The
-descent is a coroutine: it yields each point it needs evaluated and each
-gradient it needs read. Restarts run in lockstep groups of consecutive
-indices: each round stacks every live restart's pending trial point into
-one forward over a leading batch axis, and answers each gradient request
-with that restart's own reverse pass over its slice of the kept levels. A
-group holds ``max(1, _LOCKSTEP_OUTCOMES // K)`` restarts for K outcomes, at
-most an even share of the restarts per worker, so small alphabets share a
-forward and N_a >= 4 runs one restart per group. Every product runs per
-matrix, and exp(iH) at a descent's points has no exact zeros for the
-cascade to skip, so a restart's numbers do not depend on its group;
-heartbeats arrive in restart-index order.
+descent is a coroutine: it yields each point it needs evaluated and is sent
+the value there with a thunk for the gradient. Restarts run in lockstep
+groups of consecutive indices: each round stacks every live restart's
+pending trial point into one forward over a leading batch axis, and a
+restart's gradient thunk runs its own reverse pass over its slice of the
+kept levels. A group holds ``max(1, _LOCKSTEP_OUTCOMES // K)`` restarts
+for K outcomes, at most an even share of the restarts per worker, so small
+alphabets share a forward and N_a >= 4 runs one restart per group. Every
+product runs per matrix, and exp(iH) at a descent's points has no exact
+zeros for the cascade to skip, so a restart's numbers do not depend on its
+group; heartbeats arrive in restart-index order.
 """
 
 from __future__ import annotations
@@ -74,9 +74,13 @@ _MAX_BACKTRACKS = 50
 _INIT_SCALE = 0.5
 #: Outcomes one lockstep group's forward covers, K per restart. Stacking
 #: restarts pays where a forward is mostly numpy-call overhead: K = 10 and
-#: 126 (N_a = 0 and 2) get groups of 102 and 8. At K = 1,716 (N_a = 4) a
-#: group of 2 ran slower than two restarts alone, so from there on each
-#: restart runs alone, at the memory of one forward.
+#: 126 (N_a = 0 and 2) get groups of 102 and 8. The bound is memory: the
+#: kept levels grow with the group, and at K = 1,716 (N_a = 4) two restarts
+#: × 10 iterations peaked at 4.1 MB traced in a group against 1.4 MB alone,
+#: 8 × 30 at 17.7 MB against 1.4 MB. So from N_a = 4 on each restart runs
+#: alone, at the memory of one forward. The known cost: a group of one
+#: pays for the batch axis, so an N_a = 4 descent runs 7-9 % slower than
+#: one without it, while one group of 8 ran about 9 % faster than that.
 _LOCKSTEP_OUTCOMES = 1024
 
 
@@ -211,15 +215,14 @@ def _bfgs_descent(x0: np.ndarray, max_iterations: int):
     """Minimize an objective from x0: a coroutine that asks for every evaluation.
 
     It yields each point it needs evaluated and must be sent ``(f, pull)``
-    for it, ``pull`` a thunk that returns the gradient there; to read that
-    gradient it yields ``pull`` back and must be sent the gradient.
-    :func:`_lockstep` answers these requests. It returns (x, f, stats) with
-    stats holding the :class:`RestartRecord` fields other than ``restart``
-    and ``h_mutual``.
+    for it, ``pull`` a thunk that returns the gradient there, which the
+    descent calls before its next yield. :func:`_lockstep` answers these
+    requests. It returns (x, f, stats) with stats holding the
+    :class:`RestartRecord` fields other than ``restart`` and ``h_mutual``.
     """
     x = np.array(x0, dtype=np.float64)
     f, grad = yield x
-    g = yield grad
+    g = grad()
     trace = [f]
     h_inv = None  # inverse-Hessian estimate; None means steepest descent
     iterations = 0
@@ -263,7 +266,7 @@ def _bfgs_descent(x0: np.ndarray, max_iterations: int):
             break
         x_new, f_new, grad_new = accepted
 
-        g_new = yield grad_new
+        g_new = grad_new()
         counts["grad_evals"] += 1
         s = x_new - x
         y = g_new - g
@@ -293,10 +296,10 @@ def _lockstep(descents: list, evaluate) -> list[tuple[np.ndarray, float, dict]]:
 
     Each round stacks every live descent's pending point into one call of
     ``evaluate``, which maps a (B, dim) stack to B values and B gradient
-    thunks, such as :func:`_values_and_pullbacks`. A descent that yields a
-    thunk back gets its gradient at once, so every thunk runs in the round
-    whose forward it reads. A descent's numbers do not depend on which
-    others share its rounds.
+    thunks, such as :func:`_values_and_pullbacks`; a descent calls a thunk
+    before its next yield, so every thunk runs in the round whose forward it
+    reads. A descent's numbers do not depend on which others share its
+    rounds.
     """
     ends: list = [None] * len(descents)
     pending = {k: next(descent) for k, descent in enumerate(descents)}
@@ -305,10 +308,7 @@ def _lockstep(descents: list, evaluate) -> list[tuple[np.ndarray, float, dict]]:
         values, pulls = evaluate(np.array([pending.pop(k) for k in live]))
         for k, answer in zip(live, zip(values, pulls)):
             try:
-                request = descents[k].send(answer)
-                while callable(request):
-                    request = descents[k].send(request())
-                pending[k] = request
+                pending[k] = descents[k].send(answer)
             except StopIteration as end:
                 ends[k] = end.value
     return ends
