@@ -76,14 +76,14 @@ def conditional_bits_pullback(
     Returns ``(h, dh/dp, dh/dgarbage)`` for float arrays ``p_yx`` of shape
     (..., K, 4) and ``garbage`` of shape (..., 4), treated as independent;
     ``h`` has shape (...), and each table of a stack gets the numbers it
-    would get alone. The garbage term, (1/4) log2(G / g_x), is the kernel's
-    arithmetic on a (1, 4) table, written out. Exact zeros get derivative 0,
-    the one-sided limit along any path p = |a|^2 through them, matching the
-    explicit branch in :func:`conditional_bits`.
+    would get alone. The garbage term is the kernel on a (1, 4) table, as in
+    :func:`conditional_bits`. Exact zeros get derivative 0, the one-sided
+    limit along any path p = |a|^2 through them, matching the explicit
+    branch in :func:`conditional_bits`.
     """
     h, p_bar = _bits(p_yx)
-    g_bar = _log2_ratio(garbage, garbage.sum(axis=-1, keepdims=True)) / 4.0
-    return h + (garbage * g_bar).sum(axis=-1), p_bar, g_bar
+    h_garbage, g_bar = _bits(garbage[..., None, :])
+    return h + h_garbage, p_bar, g_bar[..., 0, :]
 
 
 def mutual_information(table: OutcomeTable) -> InfoReport:

@@ -19,14 +19,16 @@ reference.
 
 Global search is seeded multi-start with a deterministic reduction. The
 descent is a coroutine: it yields each point it needs evaluated and is sent
-the value there with a thunk for the gradient. Restarts run in lockstep
-groups of consecutive indices: each round stacks every live restart's
-pending trial point into one forward over a leading batch axis, and a
-restart's gradient thunk runs its own reverse pass over its slice of the
-kept levels. A group holds ``max(1, _LOCKSTEP_OUTCOMES // K)`` restarts
-for K outcomes, at most an even share of the restarts per worker, so small
-alphabets share a forward and N_a >= 4 runs one restart per group. Every
-product runs per matrix, and exp(iH) at a descent's points has no exact
+the value there, then, at its start and after each accepted trial, yields a
+gradient request and is sent the gradient at that point. Restarts run in
+lockstep groups of consecutive indices, and each round has two phases: one
+forward over a leading batch axis for every live restart's pending trial
+point, then one reverse pass for the restarts that ask for a gradient, over
+their slices of the kept levels. A group holds
+``max(1, _LOCKSTEP_OUTCOMES // K)`` restarts for K outcomes, at most an even
+share of the restarts per worker, so small alphabets share a forward and a
+reverse pass and N_a >= 4 runs one restart per group. Every product of both
+passes runs per matrix, and exp(iH) at a descent's points has no exact
 zeros for the cascade to skip, so a restart's numbers do not depend on its
 group; heartbeats arrive in restart-index order.
 """
@@ -181,28 +183,33 @@ def _gradient_vector(x: np.ndarray, n_a: int, step: float) -> np.ndarray:
     return (values[:dim] - values[dim:]) / (2.0 * step)
 
 
-def _values_and_pullbacks(vectors: np.ndarray, n_a: int) -> tuple[list[float], list]:
-    """The objective at each row of a stack (B, dim), plus a thunk per row that returns its gradient.
+def _values_and_pullbacks(vectors: np.ndarray, n_a: int):
+    """The objective at each row of a stack (B, dim), plus ``pull`` for the gradients of any rows.
 
-    One forward runs for the whole stack and keeps every level the reverse
-    passes read, so a row's gradient costs one reverse pass over its own
-    slice and no second forward. A row whose circuit has no exact zeros, as
-    at any seeded point, gets the numbers it would get alone.
+    Returns ``(values, pull)``: B floats, and ``pull(items)``, which maps
+    row indices (n,), in any order and with repeats, to their gradients
+    (n, dim). One forward runs for the whole stack and keeps every level
+    the reverse pass reads, and one call of ``pull`` runs one reverse pass
+    over the picked rows' slices, with no second forward. Every product of
+    both passes runs per row, so a row whose circuit has no exact zeros, as
+    at any seeded point, gets the numbers it would get alone, however it
+    is stacked and pulled.
     """
     u, u_pullback = matrix_entries_pullback(vectors, n_a + 4)
     p, garbage, p_pullback = bell_probability_pullback(u, n_a)
     f, p_bar, g_bar = conditional_bits_pullback(p.swapaxes(-1, -2), garbage)
 
-    def pull(item: int) -> np.ndarray:
-        return u_pullback(p_pullback(p_bar[item].T, g_bar[item], item), item)
+    def pull(items) -> np.ndarray:
+        items = np.asarray(items, dtype=np.intp)
+        return u_pullback(p_pullback(p_bar[items].swapaxes(-1, -2), g_bar[items], items), items)
 
-    return f.tolist(), [partial(pull, item) for item in range(len(f))]
+    return f.tolist(), pull
 
 
 def _value_and_pullback(x: np.ndarray, n_a: int):
     """Objective at one parameter vector, plus a thunk that returns its gradient: a stack of one."""
-    values, pulls = _values_and_pullbacks(x[None], n_a)
-    return values[0], pulls[0]
+    values, pull = _values_and_pullbacks(x[None], n_a)
+    return values[0], lambda: pull([0])[0]
 
 
 def gradient(params: CircuitParams, n_a: int) -> np.ndarray:
@@ -211,18 +218,24 @@ def gradient(params: CircuitParams, n_a: int) -> np.ndarray:
     return _value_and_pullback(params.to_vector(), n_a)[1]()
 
 
+#: What :func:`_bfgs_descent` yields to ask for the gradient at the point
+#: whose value it was just sent.
+_GRADIENT = object()
+
+
 def _bfgs_descent(x0: np.ndarray, max_iterations: int):
     """Minimize an objective from x0: a coroutine that asks for every evaluation.
 
-    It yields each point it needs evaluated and must be sent ``(f, pull)``
-    for it, ``pull`` a thunk that returns the gradient there, which the
-    descent calls before its next yield. :func:`_lockstep` answers these
-    requests. It returns (x, f, stats) with stats holding the
-    :class:`RestartRecord` fields other than ``restart`` and ``h_mutual``.
+    It yields each point it needs evaluated and must be sent the value
+    ``f`` there. At its start and after each accepted trial it then yields
+    :data:`_GRADIENT` and must be sent the gradient at that same point.
+    :func:`_lockstep` answers these requests. It returns (x, f, stats) with
+    stats holding the :class:`RestartRecord` fields other than ``restart``
+    and ``h_mutual``.
     """
     x = np.array(x0, dtype=np.float64)
-    f, grad = yield x
-    g = grad()
+    f = yield x
+    g = yield _GRADIENT
     trace = [f]
     h_inv = None  # inverse-Hessian estimate; None means steepest descent
     iterations = 0
@@ -230,17 +243,17 @@ def _bfgs_descent(x0: np.ndarray, max_iterations: int):
     counts = {"f_evals": 0, "grad_evals": 1, "backtracks": 0, "steepest_fallbacks": 0}
 
     def backtrack(direction: np.ndarray):
-        """(x, f, gradient thunk) of the first Armijo trial, or None."""
+        """(x, f) of the first Armijo trial, or None."""
         slope = float(g @ direction)
         if slope >= 0.0:
             return None
         step_size = 1.0
         for _ in range(_MAX_BACKTRACKS):
             x_try = x + step_size * direction
-            f_try, grad_try = yield x_try
+            f_try = yield x_try
             counts["f_evals"] += 1
             if f_try < f and f_try <= f + _ARMIJO_C1 * step_size * slope:
-                return x_try, f_try, grad_try
+                return x_try, f_try
             counts["backtracks"] += 1
             # Minimizer of the quadratic through f, the slope and f_try (a
             # rejected trial makes its denominator positive), kept in [0.1, 0.5]
@@ -264,9 +277,9 @@ def _bfgs_descent(x0: np.ndarray, max_iterations: int):
             # No representable decrease: objective is at its numerical floor.
             stop = "line_search_floor"
             break
-        x_new, f_new, grad_new = accepted
+        x_new, f_new = accepted
 
-        g_new = grad_new()
+        g_new = yield _GRADIENT
         counts["grad_evals"] += 1
         s = x_new - x
         y = g_new - g
@@ -294,23 +307,34 @@ def _bfgs_descent(x0: np.ndarray, max_iterations: int):
 def _lockstep(descents: list, evaluate) -> list[tuple[np.ndarray, float, dict]]:
     """Run :func:`_bfgs_descent` coroutines side by side; each one's (x, f, stats), in order.
 
-    Each round stacks every live descent's pending point into one call of
-    ``evaluate``, which maps a (B, dim) stack to B values and B gradient
-    thunks, such as :func:`_values_and_pullbacks`; a descent calls a thunk
-    before its next yield, so every thunk runs in the round whose forward it
-    reads. A descent's numbers do not depend on which others share its
-    rounds.
+    A round has two phases. First every live descent's pending point goes
+    into one call of ``evaluate``, which maps a (B, dim) stack to
+    ``(values, pull)`` as :func:`_values_and_pullbacks` does, and each
+    descent is sent its value. Then the rows of the descents that ask for a
+    gradient go into one call of ``pull``, and each is sent its row. So a
+    round runs one forward and at most one reverse pass, and a descent's
+    numbers do not depend on which others share its rounds.
     """
     ends: list = [None] * len(descents)
+
+    def answer(k: int, reply):
+        """Descent k's next request, or None once it has returned."""
+        try:
+            return descents[k].send(reply)
+        except StopIteration as end:
+            ends[k] = end.value
+            return None
+
     pending = {k: next(descent) for k, descent in enumerate(descents)}
     while pending:
         live = list(pending)
-        values, pulls = evaluate(np.array([pending.pop(k) for k in live]))
-        for k, answer in zip(live, zip(values, pulls)):
-            try:
-                pending[k] = descents[k].send(answer)
-            except StopIteration as end:
-                ends[k] = end.value
+        values, pull = evaluate(np.array(list(pending.values())))
+        requests = [answer(k, f) for k, f in zip(live, values)]
+        asking = [row for row, request in enumerate(requests) if request is _GRADIENT]
+        if asking:
+            for row, g in zip(asking, pull(asking)):
+                requests[row] = answer(live[row], g)
+        pending = {k: request for k, request in zip(live, requests) if request is not None}
     return ends
 
 
@@ -348,7 +372,8 @@ def optimize(cfg: OptimizerConfig, progress=None) -> OptimizationResult:
     so results do not depend on the level of parallelism or on the groups,
     and ties between restarts break toward the lowest index. Restarts run
     in groups of consecutive indices, each group in lockstep through one
-    batched forward per round (:func:`_lockstep`). A group holds
+    batched forward and at most one batched reverse pass per round
+    (:func:`_lockstep`). A group holds
     ``max(1, _LOCKSTEP_OUTCOMES // K)`` restarts, K the outcome count, but
     no more than an even share of the restarts per worker. The groups run
     in this process or in a process pool, with at most one worker per group

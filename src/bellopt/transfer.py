@@ -12,7 +12,8 @@ one matrix being a stack of one. Every product runs per matrix, so each
 matrix gets the numbers it gets alone, unless the stack mixes exact-zero
 patterns: a stack gathers every mode that any of its rows reaches.
 :func:`bell_probability_pullback` keeps its levels and runs it in reverse,
-one matrix at a time, for the optimizer's gradient.
+for one matrix or several of the stack at once, again per matrix, for the
+optimizer's gradients.
 :func:`two_mode_amplitudes` runs the same recursion, with the same branch
 table, restricted to two output modes, for the bunched outcomes the
 conditions checker scans, without the rest of the alphabet.
@@ -465,14 +466,19 @@ def _pull_creation_row(
     d/dRe + i d/dIm. The forward gathers each output state's sources; its
     reverse gathers each source's outputs, through
     :func:`_insertion_targets`: ``(vec_bar, row_bar)`` from the
-    level-``level + 1`` gradient ``out_bar``. At level 0 the source is the
-    vacuum, amplitude 1, whose gradient nothing reads: ``vec_bar`` is None,
-    and ``row_bar`` is ``out_bar`` itself.
+    level-``level + 1`` gradient ``out_bar``. The arguments are one row's,
+    (K_n,), (M,) and (K_{n+1},), or stacks of them on leading axes that
+    broadcast, and each row of a stack gets the numbers it gets alone. At
+    level 0 the source is the vacuum, amplitude 1, whose gradient nothing
+    reads: ``vec_bar`` is None, and ``row_bar`` is ``out_bar`` itself.
     """
     if level == 0:
         return None, out_bar
-    gathered = out_bar[_insertion_targets(level, row_conj.shape[-1])]
-    return row_conj @ gathered, gathered @ vec_conj
+    # ``take`` lays each item's (M, K_n) gather out C-contiguous, as alone;
+    # ``out_bar[:, targets]`` would not, and its matrix-vector products
+    # would take another BLAS path and move the last bits.
+    gathered = out_bar.take(_insertion_targets(level, row_conj.shape[-1]), axis=-1)
+    return (row_conj[..., None, :] @ gathered)[..., 0, :], (gathered @ vec_conj[..., None])[..., 0]
 
 
 def bell_probability_pullback(u: np.ndarray, n_a: int):
@@ -486,7 +492,10 @@ def bell_probability_pullback(u: np.ndarray, n_a: int):
     (..., 4). ``pullback(p_bar, g_bar, item=0)`` takes the derivatives of a
     real function with respect to one matrix's ``p`` (4, K) and ``garbage``
     (4,) and returns its gradient with respect to that (M, M) matrix, as
-    d/dRe U + i d/dIm U; ``item`` picks the matrix of a stack. The forward
+    d/dRe U + i d/dIm U. ``item`` picks the matrix of a stack: an int, or
+    an index array (n,) with derivatives (n, 4, K) and (n, 4) and a result
+    (n, M, M), pulled in one pass whose products run per matrix on matmul's
+    batch axis, so each item gets the numbers it gets alone. The forward
     keeps every cascade level, so the reverse pass costs about one forward.
     """
     u = np.asarray(u, dtype=np.complex128)
@@ -505,30 +514,28 @@ def bell_probability_pullback(u: np.ndarray, n_a: int):
     leak = 1.0 - p.sum(axis=-1)
     garbage = np.maximum(leak, 0.0)
 
-    def pullback(p_bar: np.ndarray, g_bar: np.ndarray, item: int = 0) -> np.ndarray:
+    def pullback(p_bar: np.ndarray, g_bar: np.ndarray, item=0) -> np.ndarray:
         # garbage = max(1 - sum_y p, 0): clamped inputs pass no gradient.
-        p_bar = p_bar - np.where(leak[item] > 0.0, g_bar, 0.0)[:, None]
+        p_bar = p_bar - np.where(leak[item] > 0.0, g_bar, 0.0)[..., None]
         a_bar = _pair_sums((2.0 * c) * p_bar * sums[item])
         conj_u = np.conj(stack[item])
         u_bar = np.empty_like(conj_u)
-        # Each branch's pull, paired as in _BRANCH_ROWS.
-        q1_conj, q2_conj = np.conj(qs[item])
-        r2_conj, r3_conj = conj_u[n_a + 2], conj_u[n_a + 3]
-        q1_from_a1, r2_from_a1 = _pull_creation_row(q1_conj, r2_conj, n_a + 1, a_bar[0])
-        q2_from_a2, r3_from_a2 = _pull_creation_row(q2_conj, r3_conj, n_a + 1, a_bar[1])
-        q1_from_a3, r3_from_a3 = _pull_creation_row(q1_conj, r3_conj, n_a + 1, a_bar[2])
-        q2_from_a4, r2_from_a4 = _pull_creation_row(q2_conj, r2_conj, n_a + 1, a_bar[3])
-        u_bar[n_a + 2] = r2_from_a1 + r2_from_a4
-        u_bar[n_a + 3] = r3_from_a3 + r3_from_a2
-        level = np.conj(levels[n_a][item])
-        from_q1, u_bar[n_a] = _pull_creation_row(
-            level, conj_u[n_a], n_a, q1_from_a1 + q1_from_a3)
-        from_q2, u_bar[n_a + 1] = _pull_creation_row(
-            level, conj_u[n_a + 1], n_a, q2_from_a2 + q2_from_a4)
-        vec_bar = from_q1 + from_q2 if n_a else None
+        # The four branches in one pull, as in the forward: branch a_{2j+v+1}
+        # is [v, j], qubit level v through rail row n_a + 2 + _BRANCH_ROWS[v, j].
+        a_bar = a_bar.reshape(a_bar.shape[:-2] + (2, 2, -1)).swapaxes(-3, -2)
+        q_from, r_from = _pull_creation_row(
+            np.conj(qs[item])[..., None, :], conj_u[..., n_a + 2 + _BRANCH_ROWS, :], n_a + 1,
+            a_bar)
+        # Rail rows r2 and r3 sum branches (a1, a4) and (a3, a2), and the
+        # qubit levels (a1, a3) and (a2, a4), in the reference's order.
+        u_bar[..., n_a + 2:, :] = r_from[..., 0, :, :] + r_from[..., 1, ::-1, :]
+        q_bar = q_from[..., 0, :] + q_from[..., 1, :]
+        from_q, u_bar[..., n_a:n_a + 2, :] = _pull_creation_row(
+            np.conj(levels[n_a][item])[..., None, :], conj_u[..., n_a:n_a + 2, :], n_a, q_bar)
+        vec_bar = from_q[..., 0, :] + from_q[..., 1, :] if n_a else None
         for j in range(n_a - 1, -1, -1):
-            vec_bar, u_bar[j] = _pull_creation_row(
-                np.conj(levels[j][item]), conj_u[j], j, vec_bar)
+            vec_bar, u_bar[..., j, :] = _pull_creation_row(
+                np.conj(levels[j][item]), conj_u[..., j, :], j, vec_bar)
         return u_bar
 
     batch = u.shape[:-2]

@@ -140,9 +140,12 @@ def matrix_entries_pullback(vectors: np.ndarray, m: int):
     :func:`matrix_entries_from_vectors` of ``vectors`` and
     ``pullback(u_bar, item=0)`` turns the gradient of a real function with
     respect to one matrix (stored as d/dRe U + i d/dIm U) into its gradient
-    over that matrix's M^2 parameters; ``item`` picks the matrix of a stack.
-    One vector is a stack of one: every matrix of a stack gets the numbers
-    it would get alone.
+    over that matrix's M^2 parameters. ``item`` picks the matrix of a stack:
+    an int, with ``u_bar`` (M, M) and a result (M^2,), or an index array
+    (n,), with ``u_bar`` (n, M, M) and a result (n, M^2). One vector is a
+    stack of one, and every product runs per matrix on matmul's batch axis,
+    so every matrix of a stack, pulled alone or with others, gets the
+    numbers it would get alone.
 
     Daleckii-Krein: with H = Q diag(w) Q^dag, the derivative of exp(i*H) is
     Q (F o (Q^dag dH Q)) Q^dag with divided differences
@@ -159,16 +162,18 @@ def matrix_entries_pullback(vectors: np.ndarray, m: int):
     eigvecs_h = np.conj(eigvecs.swapaxes(-1, -2))
     u = (eigvecs * np.exp(1j * eigvals)[:, None, :]) @ eigvecs_h
 
-    def pullback(u_bar: np.ndarray, item: int = 0) -> np.ndarray:
+    def pullback(u_bar: np.ndarray, item=0) -> np.ndarray:
         w, q, q_h = eigvals[item], eigvecs[item], eigvecs_h[item]
-        gap = w[:, None] - w[None, :]
-        mean = (w[:, None] + w[None, :]) / 2.0
+        gap = w[..., :, None] - w[..., None, :]
+        mean = (w[..., :, None] + w[..., None, :]) / 2.0
         divided = 1j * np.exp(1j * mean) * np.sinc(gap / (2.0 * np.pi))
         inner = q_h @ u_bar @ q
         h_bar = q @ (np.conj(divided) * inner) @ q_h
         # Re(conj(B) @ vec(h_bar)) over the storage basis B of
-        # hermitian_from_storage: each real gets its one or two entries.
-        return _storage_basis(m).view(np.float64) @ h_bar.reshape(-1).view(np.float64)
+        # hermitian_from_storage: each real gets its one or two entries,
+        # one matrix-vector product per matrix.
+        h_flat = h_bar.reshape(h_bar.shape[:-2] + (m * m,)).view(np.float64)
+        return (_storage_basis(m).view(np.float64) @ h_flat[..., None])[..., 0]
 
     return u.reshape(vectors.shape[:-1] + (m, m)), pullback
 

@@ -136,3 +136,18 @@ def value_and_pullback(x: np.ndarray, n_a: int):
     p, garbage, p_pullback = bell_probability_pullback(u, n_a)
     f, p_bar, g_bar = conditional_bits_pullback(p.T, garbage)
     return f, lambda: u_pullback(p_pullback(p_bar.T, g_bar))
+
+
+def one_at_a_time(value_and_pullback):
+    """A stack evaluator ``(values, pull)`` that answers each point x alone.
+
+    ``value_and_pullback(x)`` returns the value at x and a thunk for the
+    gradient there, as :func:`value_and_pullback` does; ``pull(items)``
+    stacks the picked rows' thunks, one reverse pass per row.
+    """
+
+    def evaluate(points):
+        values, thunks = zip(*map(value_and_pullback, points))
+        return values, lambda items: np.array([thunks[item]() for item in items])
+
+    return evaluate

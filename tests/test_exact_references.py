@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference
+from bellopt.fock import outcome_count
 from bellopt.optimizer import (
     _bfgs_descent,
     _lockstep,
@@ -13,7 +14,7 @@ from bellopt.optimizer import (
     _values_and_pullbacks,
     initial_vector,
 )
-from bellopt.transfer import bell_probability_pullback
+from bellopt.transfer import _pull_creation_row, bell_probability_pullback
 from bellopt.unitary import (
     haar_random_unitary,
     hermitian_from_storage,
@@ -73,21 +74,52 @@ def test_probability_pullback_matches_per_pull_reference(kind, n_a):
     assert np.array_equal(pullback(p_bar, g_bar), want_pullback(p_bar, g_bar))
 
 
+@pytest.mark.parametrize("n_a", N_AS)
+def test_stacked_creation_row_pull_equals_each_row_alone(n_a):
+    # The reverse pass pulls a stack of creation rows at once; each item
+    # must get the numbers its row gets alone, at every level of the cascade.
+    m = n_a + 4
+    rng = np.random.default_rng(60 + n_a)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for level in range(n_a + 2):
+        vec, row = draw(3, outcome_count(level, m)), draw(3, m)
+        out_bar = draw(3, outcome_count(level + 1, m))
+        vec_bar, row_bar = _pull_creation_row(vec, row, level, out_bar)
+        assert row_bar.shape == (3, m)
+        for i in range(3):
+            want_vec, want_row = _pull_creation_row(vec[i], row[i], level, out_bar[i])
+            assert np.array_equal(row_bar[i], want_row)
+            if level == 0:
+                assert vec_bar is None and want_vec is None
+            else:
+                assert np.array_equal(vec_bar[i], want_vec)
+
+
 @pytest.mark.parametrize("rows", [[0], [0, 1, 2, 1, 3]], ids=["one", "repeated-row"])
 @pytest.mark.parametrize("n_a", [0, 2, 4])
 def test_stacked_evaluation_equals_each_row_alone(n_a, rows):
     # Each row of one stacked forward gets the value and the gradient it gets
-    # alone and from the references, with the gradients read in any order.
+    # alone and from the references, with the gradients read in any order:
+    # one row per pull, or several rows, out of order and repeated, in one.
     rng = np.random.default_rng(40 + n_a)
     points = np.stack([initial_vector(n_a, 0.5, rng) for _ in range(4)])[rows]
-    values, pulls = _values_and_pullbacks(points, n_a)
-    assert len(values) == len(pulls) == len(rows)
-    gradients = [pull() for pull in reversed(pulls)][::-1]
+    values, pull = _values_and_pullbacks(points, n_a)
+    assert len(values) == len(rows)
+    gradients = [pull([row])[0] for row in reversed(range(len(rows)))][::-1]
     for x, f, g in zip(points, values, gradients):
         f_alone, pull_alone = _value_and_pullback(x, n_a)
         want_f, want_pull = reference.value_and_pullback(x, n_a)
         assert type(f) is float and f == f_alone == want_f
         assert np.array_equal(g, pull_alone()) and np.array_equal(g, want_pull())
+    items = [len(rows) - 1, 0, len(rows) - 1, len(rows) // 2]
+    pulled = pull(items)
+    assert pulled.shape == (len(items), points.shape[1])
+    for item, g in zip(items, pulled):
+        want_pull = reference.value_and_pullback(points[item], n_a)[1]
+        assert np.array_equal(g, gradients[item]) and np.array_equal(g, want_pull())
 
 
 @pytest.mark.parametrize("n_a", [0, 2])
@@ -96,7 +128,7 @@ def test_descent_trace_matches_reference_pullbacks(n_a):
     [(x, f, stats)] = _lockstep([_bfgs_descent(x0, 40)], partial(_values_and_pullbacks, n_a=n_a))
     [(want_x, want_f, want_stats)] = _lockstep(
         [_bfgs_descent(x0, 40)],
-        lambda points: tuple(zip(*(reference.value_and_pullback(x, n_a) for x in points))))
+        reference.one_at_a_time(partial(reference.value_and_pullback, n_a=n_a)))
     assert stats["backtracks"] > 0  # rejected trials are on the compared path too
     assert stats == want_stats
     assert f == want_f and np.array_equal(x, want_x)

@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from reference import one_at_a_time
 from bellopt import optimizer, transfer
 from bellopt.errors import ContractViolationError
 from bellopt.infometrics import conditional_bits_pullback, mutual_information
@@ -35,14 +36,9 @@ from bellopt.unitary import (
 
 
 def descend(x0: np.ndarray, n_a: int, max_iterations: int):
-    """One descent from x0, answered by the production evaluator: (x, f, stats)."""
+    """One descent from x0, answered by the production ``(values, pull)``: (x, f, stats)."""
     return _lockstep([_bfgs_descent(x0, max_iterations)],
                      partial(_values_and_pullbacks, n_a=n_a))[0]
-
-
-def one_at_a_time(value_and_pullback):
-    """A stack evaluator that answers each point x with ``value_and_pullback(x)``."""
-    return lambda points: tuple(zip(*map(value_and_pullback, points)))
 
 
 def test_objective_identity_is_one_bit():
@@ -258,6 +254,31 @@ def test_descent_runs_one_forward_per_trial(monkeypatch, n_a):
     # feeds the gradient.
     assert calls["forward"] == stats["f_evals"] + 1
     assert calls["reverse"] == stats["grad_evals"]
+
+
+@pytest.mark.parametrize("n_a", [0, 2])
+def test_lockstep_round_runs_one_forward_and_at_most_one_pull(n_a):
+    rounds = []
+
+    def counting(points):
+        values, pull = _values_and_pullbacks(points, n_a)
+        pulled = []
+        rounds.append(pulled)
+
+        def counted(items):
+            pulled.append(len(items))
+            return pull(items)
+
+        return values, counted
+
+    starts = [initial_vector(n_a, 0.5, np.random.default_rng(20 + i)) for i in range(6)]
+    ends = _lockstep([_bfgs_descent(x0, 30) for x0 in starts], counting)
+    stats = [end[2] for end in ends]
+    # Every live descent evaluates one point a round: its start, then its trials.
+    assert len(rounds) == max(s["f_evals"] for s in stats) + 1
+    assert all(len(pulled) <= 1 for pulled in rounds)
+    assert sum(map(sum, rounds)) == sum(s["grad_evals"] for s in stats)
+    assert max(map(sum, rounds)) > 1  # some pull serves several descents
 
 
 def test_best_restart_is_stationary_or_capped():
