@@ -207,18 +207,18 @@ def cmd_check(ns: argparse.Namespace) -> int:
             f"qubit_zeros={list(verdict.qubit_zero_rows)}"
         )
     failing = [verdict.column for verdict in verdicts if not verdict.satisfied]
-    ambiguous = [v for v in scan if v.ambiguous]
+    ambiguous = np.count_nonzero(scan.ambiguous)
     print(
         f"bunched scan: {len(scan)} outcomes, "
-        f"clause A: {sum(1 for v in scan if v.clause is Clause.A)}, "
-        f"ambiguous: {len(ambiguous)}"
+        f"clause A: {np.count_nonzero(scan.clause == Clause.A.value)}, "
+        f"ambiguous: {ambiguous}"
     )
     if failing:
         print(f"failing columns: {failing}")
     if ambiguous:
-        worst = max(ambiguous, key=lambda v: v.prob_mass)
-        occupations = ",".join(map(str, worst.outcome))
-        print(f"worst ambiguous outcome: ({occupations}) mass={worst.prob_mass:.3e}")
+        worst = np.argmax(np.where(scan.ambiguous, scan.prob_mass, -np.inf))
+        occupations = ",".join(map(str, scan.outcomes[worst].tolist()))
+        print(f"worst ambiguous outcome: ({occupations}) mass={scan.prob_mass[worst]:.3e}")
     ok = not failing and not ambiguous
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1

@@ -15,10 +15,10 @@ bunched rows alone (:func:`scan_bunched_two_mode`, which never builds the
 whole alphabet), or one outcome's Ryser permanents (:func:`classify_outcome`,
 the scan's test reference beside the whole-alphabet cascade).
 Outcomes are occupation rows of :func:`bellopt.fock.enumerate_outcomes`, and
-each verdict names its outcome as a tuple of ints. The column checker reads
-the zero pattern as boolean masks, and each column verdict lists the zero
-rows behind it. The random-analyzer experiment returns its conditioned and
-unconditioned populations as a pair. The conditioned population is a 1-bit
+the verdicts are columns of one :class:`ClauseVerdicts`. The column checker
+reads the zero pattern as boolean masks, and each column verdict lists the
+zero rows behind it. The random-analyzer experiment returns its conditioned
+and unconditioned populations as a pair. The conditioned population is a 1-bit
 class: qubit A's rows and qubit B's rows reach disjoint output columns, so
 each qubit is measured on its own, which learns at most 1 bit.
 
@@ -62,16 +62,23 @@ class Clause(str, Enum):
     NONE = "NONE"
 
 
-@dataclass
-class OutcomeVerdict:
-    """Classification of one outcome against the perfect-measurement clauses."""
+@dataclass(eq=False)
+class ClauseVerdicts:
+    """Clause verdicts of n outcomes as columns of n rows, ``sign`` 0 outside clauses B and C.
 
-    outcome: tuple[int, ...]
-    clause: Clause
+    Compare ``clause`` with ``Clause.X.value``: numpy stores the member
+    itself as the text of ``str(Clause.X)``, which no row equals.
+    """
+
+    outcomes: np.ndarray
+    clause: np.ndarray
     amplitudes: np.ndarray
-    ambiguous: bool
-    sign: int | None = None
-    prob_mass: float = 0.0
+    ambiguous: np.ndarray
+    sign: np.ndarray
+    prob_mass: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.clause)
 
 
 @dataclass
@@ -103,7 +110,7 @@ def clause_verdicts(
     amps: np.ndarray,
     c: np.ndarray,
     tol: float = DEFAULT_TOL,
-) -> list[OutcomeVerdict]:
+) -> ClauseVerdicts:
     """Sort outcomes into clause A, B, C, or NONE from their branch amplitudes.
 
     ``outcomes`` holds one occupation row per outcome, ``amps`` their
@@ -129,32 +136,19 @@ def clause_verdicts(
     )
     prob_mass = outcome_probabilities(amps, c).sum(axis=-1)
     ambiguous = (clause == Clause.NONE.value) & (prob_mass >= tol)
-    return [
-        OutcomeVerdict(
-            outcome=y,
-            clause=Clause(cl),
-            amplitudes=row,
-            ambiguous=amb,
-            sign=s or None,
-            prob_mass=mass,
-        )
-        for y, cl, row, amb, s, mass in zip(
-            map(tuple, np.asarray(outcomes).tolist()), clause.tolist(), amps,
-            ambiguous.tolist(), sign.tolist(), prob_mass.tolist(),
-        )
-    ]
+    return ClauseVerdicts(np.asarray(outcomes), clause, amps, ambiguous, sign, prob_mass)
 
 
 def classify_outcome(
     u: CircuitMatrix, y: tuple[int, ...], n_a: int, tol: float = DEFAULT_TOL
-) -> OutcomeVerdict:
+) -> ClauseVerdicts:
     """Sort one outcome, a tuple of occupations, into clause A, B, C, or NONE.
 
-    The branch amplitudes are Ryser permanents: the test reference for the
-    two-mode scan.
+    The branch amplitudes are Ryser permanents, and the columns have one
+    row: the test reference for the two-mode scan.
     """
     amps = bell_amplitudes(u, y, n_a)
-    return clause_verdicts([y], amps[None], _bosonic_factors(np.array([y])), tol)[0]
+    return clause_verdicts([y], amps[None], _bosonic_factors(np.array([y])), tol)
 
 
 @lru_cache(maxsize=None)
@@ -186,11 +180,11 @@ def bunched_two_mode_outcomes(n_a: int) -> np.ndarray:
 
 def scan_bunched_two_mode(
     u: CircuitMatrix, n_a: int, tol: float = DEFAULT_TOL
-) -> list[OutcomeVerdict]:
+) -> ClauseVerdicts:
     """Classify every two-mode-bunched outcome, in alphabet order.
 
-    Any verdict that is NONE with probability mass marks the analyzer as
-    unable to perform an ideal measurement.
+    Any outcome that is NONE with probability mass, an ``ambiguous`` row,
+    marks the analyzer as unable to perform an ideal measurement.
     """
     require_modes(u.entries.shape, n_a)
     u.require_subunitary()

@@ -252,8 +252,8 @@ def bell_amplitudes(u: CircuitMatrix, y: tuple[int, ...], n_a: int) -> np.ndarra
 
 def outcome_probabilities(amps: np.ndarray, c) -> np.ndarray:
     """(p(y|1), ..., p(y|4)) from amplitude rows (..., 4) and their bosonic factors (...)."""
-    sums = _pair_sums(amps[..., None].copy())[..., 0]
-    return np.asarray(c)[..., None] * (sums.real**2 + sums.imag**2)
+    sums = _pair_sums(amps[..., None].copy())
+    return _probabilities(sums, np.asarray(c)[..., None, None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +457,15 @@ def _pair_sums(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _probabilities(sums: np.ndarray, c) -> np.ndarray:
+    """c |sums|^2 for the four Bell sums of :func:`_pair_sums`, on axis -2."""
+    p = np.square(sums.real)
+    for pair in (slice(0, 2), slice(2, 4)):
+        p[..., pair, :] += np.square(sums[..., pair, :].imag)
+    p *= c
+    return p
+
+
 def _pull_creation_row(
     vec_conj: np.ndarray, row_conj: np.ndarray, level: int, out_bar: np.ndarray
 ) -> tuple[np.ndarray | None, np.ndarray]:
@@ -507,10 +516,7 @@ def bell_probability_pullback(u: np.ndarray, n_a: int):
     # overwrite the amplitudes to keep peak memory down at large K, as does
     # squaring the imaginary parts one pair of rows at a time.
     sums = _pair_sums(amps)
-    p = np.square(sums.real)
-    for pair in (slice(0, 2), slice(2, 4)):
-        p[:, pair] += np.square(sums[:, pair].imag)
-    p *= c
+    p = _probabilities(sums, c)
     leak = 1.0 - p.sum(axis=-1)
     garbage = np.maximum(leak, 0.0)
 

@@ -121,23 +121,21 @@ def storage_from_hermitian(h: np.ndarray) -> np.ndarray:
     return projections / np.count_nonzero(basis, axis=1)
 
 
-def expm_i_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(i*H) for Hermitian H via eigendecomposition; batch axes supported."""
-    eigvals, eigvecs = np.linalg.eigh(h)
-    phases = np.exp(1j * eigvals)
-    return (eigvecs * phases[..., None, :]) @ np.conj(eigvecs).swapaxes(-1, -2)
-
-
 def matrix_entries_from_vectors(vectors: np.ndarray, m: int) -> np.ndarray:
-    """Circuit matrices for a batch of parameter vectors: (..., M^2) -> (..., M, M)."""
-    return expm_i_hermitian(hermitian_from_storage(vectors, m))
+    """Circuit matrices (..., M^2) -> (..., M, M): the U of :func:`matrix_entries_pullback`."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.shape[-1] != m * m:
+        raise ContractViolationError(
+            f"storage for m={m} needs {m * m} reals, got {vectors.shape[-1]}")
+    u = matrix_entries_pullback(vectors.reshape(-1, m * m), m)[0]
+    return u.reshape(vectors.shape[:-1] + (m, m))
 
 
 def matrix_entries_pullback(vectors: np.ndarray, m: int):
     """Circuit matrices for one vector (M^2,) or a stack (B, M^2), plus the map back.
 
-    Returns ``(u, pullback)`` where ``u`` equals
-    :func:`matrix_entries_from_vectors` of ``vectors`` and
+    Returns ``(u, pullback)`` where ``u`` is exp(i*H) of each vector, as
+    :func:`matrix_entries_from_vectors` returns it, and
     ``pullback(u_bar, item=0)`` turns the gradient of a real function with
     respect to one matrix (stored as d/dRe U + i d/dIm U) into its gradient
     over that matrix's M^2 parameters. ``item`` picks the matrix of a stack:

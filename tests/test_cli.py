@@ -102,15 +102,49 @@ FAIL
 """),
 }
 
+CHECK_STDOUT_NA6 = {
+    "conditioned": (0, """\
+column  1: satisfied={I,II,III,IV} ancilla_zeros=[4, 5, 6] qubit_zeros=[7, 8, 9, 10]
+column  2: satisfied={I,II,III,IV} ancilla_zeros=[4, 5, 6] qubit_zeros=[7, 8, 9, 10]
+column  3: satisfied={I,II,III,IV} ancilla_zeros=[4, 5, 6] qubit_zeros=[7, 8, 9, 10]
+column  4: satisfied={I,III} ancilla_zeros=[1, 2, 3, 5, 6] qubit_zeros=[9, 10]
+column  5: satisfied={I,III} ancilla_zeros=[1, 2, 3, 5, 6] qubit_zeros=[9, 10]
+column  6: satisfied={I,III} ancilla_zeros=[1, 2, 3, 5, 6] qubit_zeros=[9, 10]
+column  7: satisfied={I,II} ancilla_zeros=[1, 2, 3, 4] qubit_zeros=[7, 8]
+column  8: satisfied={I,II} ancilla_zeros=[1, 2, 3, 4] qubit_zeros=[7, 8]
+column  9: satisfied={I,II} ancilla_zeros=[1, 2, 3, 4] qubit_zeros=[7, 8]
+column 10: satisfied={I,II} ancilla_zeros=[1, 2, 3, 4] qubit_zeros=[7, 8]
+bunched scan: 325 outcomes, clause A: 325, ambiguous: 0
+PASS
+"""),
+    "haar": (1, """\
+column  1: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  2: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  3: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  4: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  5: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  6: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  7: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  8: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column  9: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+column 10: satisfied={-} ancilla_zeros=[] qubit_zeros=[]
+bunched scan: 325 outcomes, clause A: 0, ambiguous: 325
+failing columns: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+worst ambiguous outcome: (8,0,0,0,0,0,0,0,0,0) mass=9.732e-04
+FAIL
+"""),
+}
+
 
 @pytest.mark.parametrize("kind", sorted(CHECK_STDOUT_NA4))
 def test_check_stdout_is_pinned(tmp_path, capsys, kind):
-    path = tmp_path / "u.json"
-    assert run_cli(["sample", "--na", 4, "--seed", 5, "--kind", kind, "--out", path]) == 0
-    capsys.readouterr()
-    code, expected = CHECK_STDOUT_NA4[kind]
-    assert run_cli(["check", "--matrix", path, "--na", 4]) == code
-    assert capsys.readouterr().out == expected
+    for n_a, pinned in ((4, CHECK_STDOUT_NA4), (6, CHECK_STDOUT_NA6)):
+        path = tmp_path / f"u{n_a}.json"
+        assert run_cli(["sample", "--na", n_a, "--seed", 5, "--kind", kind, "--out", path]) == 0
+        capsys.readouterr()
+        code, expected = pinned[kind]
+        assert run_cli(["check", "--matrix", path, "--na", n_a]) == code
+        assert capsys.readouterr().out == expected
 
 
 def test_evaluate_identity(tmp_path, capsys):

@@ -51,23 +51,24 @@ def dft_matrix(m: int) -> CircuitMatrix:
 
 def test_classify_identity_bunched_is_clause_a():
     verdict = classify_outcome(CircuitMatrix(np.eye(4)), (2, 0, 0, 0), 0)
-    assert verdict.clause is Clause.A
-    assert not verdict.ambiguous
-    assert verdict.prob_mass == pytest.approx(0.0)
+    assert verdict.clause.item() == Clause.A.value
+    assert not verdict.ambiguous.item()
+    assert verdict.prob_mass.item() == pytest.approx(0.0)
 
 
 def test_classify_identity_coincidence_is_ambiguous_none():
     verdict = classify_outcome(CircuitMatrix(np.eye(4)), (1, 0, 1, 0), 0)
-    assert verdict.clause is Clause.NONE
-    assert verdict.ambiguous
-    assert abs(verdict.amplitudes[0]) > 0.5
-    assert abs(verdict.amplitudes[1]) < 1e-12
+    assert verdict.clause.item() == Clause.NONE.value
+    assert verdict.ambiguous.item()
+    (amplitudes,) = verdict.amplitudes
+    assert abs(amplitudes[0]) > 0.5
+    assert abs(amplitudes[1]) < 1e-12
 
 
 def test_classify_dft_bunched_is_ambiguous_none():
     verdict = classify_outcome(dft_matrix(4), (2, 0, 0, 0), 0)
-    assert verdict.clause is Clause.NONE
-    assert verdict.ambiguous
+    assert verdict.clause.item() == Clause.NONE.value
+    assert verdict.ambiguous.item()
 
 
 def test_classify_bsm_coincidences_are_clause_c():
@@ -77,9 +78,9 @@ def test_classify_bsm_coincidences_are_clause_c():
     seen_signs = set()
     for occ in ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)):
         verdict = classify_outcome(bsm, occ, 0)
-        assert verdict.clause is Clause.C
-        assert verdict.sign in (+1, -1)
-        seen_signs.add(verdict.sign)
+        assert verdict.clause.item() == Clause.C.value
+        assert verdict.sign.item() in (+1, -1)
+        seen_signs.add(verdict.sign.item())
     assert seen_signs == {+1, -1}
 
 
@@ -89,35 +90,35 @@ def test_classify_crossed_bsm_coincidences_are_clause_b():
     seen_signs = set()
     for occ in ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1)):
         verdict = classify_outcome(bsm, occ, 0)
-        assert verdict.clause is Clause.B
-        assert verdict.sign in (+1, -1)
-        seen_signs.add(verdict.sign)
+        assert verdict.clause.item() == Clause.B.value
+        assert verdict.sign.item() in (+1, -1)
+        seen_signs.add(verdict.sign.item())
     assert seen_signs == {+1, -1}
 
 
 @pytest.mark.parametrize(
     "row, clause, sign, ambiguous",
     [
-        ((0, 0, 0, 0), Clause.A, None, False),
+        ((0, 0, 0, 0), Clause.A, 0, False),
         ((0.5, 0.5, 0, 0), Clause.B, +1, False),
         ((0.5, -0.5, 0, 0), Clause.B, -1, False),
         ((0, 0, 0.5j, 0.5j), Clause.C, +1, False),
         ((0, 0, 0.5, -0.5), Clause.C, -1, False),
-        ((0.5, 0, 0.5, 0), Clause.NONE, None, True),
-        ((0.02, 0, 0, 0), Clause.NONE, None, False),
-        ((0.5, 0.5, 1e-3, 0), Clause.NONE, None, True),
+        ((0.5, 0, 0.5, 0), Clause.NONE, 0, True),
+        ((0.02, 0, 0, 0), Clause.NONE, 0, False),
+        ((0.5, 0.5, 1e-3, 0), Clause.NONE, 0, True),
     ],
     ids=["A", "B+", "B-", "C+", "C-", "NONE-mass", "NONE-below-tol", "B-like-at-tol"],
 )
 def test_clause_rule_on_hand_built_rows(row, clause, sign, ambiguous):
     tol = 1e-3
     y = (1, 1, 0, 0)
-    (verdict,) = clause_verdicts([y], np.array([row], dtype=complex), np.array([0.5]), tol)
-    assert verdict.outcome == y
-    assert verdict.clause is clause
-    assert verdict.sign == sign
-    assert verdict.ambiguous is ambiguous
-    assert np.array_equal(verdict.amplitudes, np.array(row, dtype=complex))
+    verdict = clause_verdicts([y], np.array([row], dtype=complex), np.array([0.5]), tol)
+    assert verdict.outcomes.tolist() == [list(y)]
+    assert verdict.clause.item() == clause.value
+    assert verdict.sign.item() == sign
+    assert verdict.ambiguous.item() is ambiguous
+    assert np.array_equal(verdict.amplitudes, np.array([row], dtype=complex))
 
 
 def test_clause_rule_classifies_rows_independently():
@@ -125,20 +126,20 @@ def test_clause_rule_classifies_rows_independently():
                     dtype=complex)
     outcomes = [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 2, 0, 0)]
     verdicts = clause_verdicts(outcomes, rows, np.array([1.0, 0.5, 0.5, 1.0]), 1e-10)
-    assert [(v.clause, v.sign) for v in verdicts] == [
-        (Clause.A, None), (Clause.B, -1), (Clause.C, +1), (Clause.NONE, None)
+    assert list(zip(verdicts.clause.tolist(), verdicts.sign.tolist())) == [
+        (Clause.A.value, 0), (Clause.B.value, -1), (Clause.C.value, +1), (Clause.NONE.value, 0)
     ]
-    assert [v.outcome for v in verdicts] == outcomes
+    assert list(map(tuple, verdicts.outcomes.tolist())) == outcomes
     # The mass is c times the sum of |a1 + a2|^2, |a1 - a2|^2, |a3 + a4|^2, |a3 - a4|^2.
-    assert [v.prob_mass for v in verdicts] == [0.0, 0.5 * 1.0, 0.5 * 1.0, 1.0 * 1.0]
+    assert verdicts.prob_mass.tolist() == [0.0, 0.5 * 1.0, 0.5 * 1.0, 1.0 * 1.0]
 
 
 def test_classify_bsm_bunched_is_ambiguous():
     bsm = standard_bsm()
     for occ in ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)):
         verdict = classify_outcome(bsm, occ, 0)
-        assert verdict.clause is Clause.NONE
-        assert verdict.ambiguous
+        assert verdict.clause.item() == Clause.NONE.value
+        assert verdict.ambiguous.item()
 
 
 def test_clause_soundness_zero_entropy_terms():
@@ -147,7 +148,7 @@ def test_clause_soundness_zero_entropy_terms():
         table = outcome_table(u, 0)
         for state, row in zip(map(tuple, table.occupations.tolist()), table.p):
             verdict = classify_outcome(u, state, 0)
-            if verdict.clause is Clause.NONE:
+            if verdict.clause.item() == Clause.NONE.value:
                 continue
             total = row.sum()
             for p in row:
@@ -202,10 +203,10 @@ def test_two_mode_scan_matches_the_whole_alphabet_cascade(case):
     assert np.max(np.abs(two_mode_amplitudes(u.entries, n_a, outcomes) - want)) <= 1e-12
     reference = clause_verdicts(outcomes, want, _bosonic_factor_array(n_a + 2, n_a + 4)[bunched])
     verdicts = scan_bunched_two_mode(u, n_a)
-    assert [(v.outcome, v.clause, v.ambiguous, v.sign) for v in verdicts] == [
-        (v.outcome, v.clause, v.ambiguous, v.sign) for v in reference]
-    assert [v.prob_mass for v in verdicts] == pytest.approx(
-        [v.prob_mass for v in reference], rel=0, abs=1e-12)
+    for name in ("outcomes", "clause", "ambiguous", "sign"):
+        assert np.array_equal(getattr(verdicts, name), getattr(reference, name)), name
+    assert verdicts.prob_mass.tolist() == pytest.approx(
+        reference.prob_mass.tolist(), rel=0, abs=1e-12)
 
 
 def test_scan_never_builds_the_alphabet_and_bounds_its_peak(monkeypatch):
@@ -228,6 +229,15 @@ def test_scan_never_builds_the_alphabet_and_bounds_its_peak(monkeypatch):
     assert peak < 8e6
 
 
+@pytest.mark.parametrize("n_a", range(7))
+def test_scan_has_one_row_per_bunched_outcome(n_a):
+    verdicts = scan_bunched_two_mode(haar_random_unitary(n_a + 4, 90 + n_a), n_a)
+    assert len(verdicts) == len(bunched_two_mode_outcomes(n_a))
+    for column in (verdicts.outcomes, verdicts.clause, verdicts.amplitudes,
+                   verdicts.ambiguous, verdicts.sign, verdicts.prob_mass):
+        assert len(column) == len(verdicts)
+
+
 @pytest.mark.parametrize(
     "n_a, make",
     [
@@ -244,29 +254,29 @@ def test_scan_matches_permanent_reference(n_a, make):
     """The cascade-backed scan agrees with classifying each outcome by permanents."""
     u = make()
     verdicts = scan_bunched_two_mode(u, n_a)
-    assert np.array_equal([v.outcome for v in verdicts], bunched_two_mode_outcomes(n_a))
-    for verdict in verdicts:
-        ref = classify_outcome(u, verdict.outcome, n_a)
-        assert verdict.clause is ref.clause
-        assert verdict.sign == ref.sign
-        assert verdict.ambiguous == ref.ambiguous
-        assert np.allclose(verdict.amplitudes, ref.amplitudes, rtol=0, atol=1e-12)
-        assert verdict.prob_mass == pytest.approx(ref.prob_mass, rel=0, abs=1e-12)
+    assert np.array_equal(verdicts.outcomes, bunched_two_mode_outcomes(n_a))
+    for i, outcome in enumerate(map(tuple, verdicts.outcomes.tolist())):
+        ref = classify_outcome(u, outcome, n_a)
+        assert verdicts.clause[i] == ref.clause.item()
+        assert verdicts.sign[i] == ref.sign.item()
+        assert verdicts.ambiguous[i] == ref.ambiguous.item()
+        assert np.allclose(verdicts.amplitudes[i], ref.amplitudes[0], rtol=0, atol=1e-12)
+        assert verdicts.prob_mass[i] == pytest.approx(ref.prob_mass.item(), rel=0, abs=1e-12)
 
 
 def test_scan_identity_all_clause_a():
     for n_a in (0, 2):
         verdicts = scan_bunched_two_mode(CircuitMatrix(np.eye(n_a + 4)), n_a)
-        bunched_only = [v for v in verdicts if max(v.outcome) >= 2]
-        assert all(v.clause is Clause.A for v in bunched_only)
-        assert not any(v.ambiguous for v in verdicts if max(v.outcome) >= 2)
+        bunched_only = verdicts.outcomes.max(axis=1) >= 2
+        assert (verdicts.clause[bunched_only] == Clause.A.value).all()
+        assert not verdicts.ambiguous[bunched_only].any()
 
 
 def test_scan_conditioned_unitary_all_clause_a():
     u = sample_conditioned_unitary(6, 5)
     verdicts = scan_bunched_two_mode(u, 6)
-    assert all(v.clause is Clause.A for v in verdicts)
-    assert all(v.prob_mass < 1e-18 for v in verdicts)
+    assert (verdicts.clause == Clause.A.value).all()
+    assert (verdicts.prob_mass < 1e-18).all()
 
 
 def test_scan_haar_typically_ambiguous():
@@ -274,7 +284,7 @@ def test_scan_haar_typically_ambiguous():
     for seed in range(10):
         u = haar_random_unitary(6, 600 + seed)
         verdicts = scan_bunched_two_mode(u, 2)
-        if any(v.ambiguous for v in verdicts):
+        if verdicts.ambiguous.any():
             hits += 1
     assert hits >= 8
 
@@ -282,7 +292,7 @@ def test_scan_haar_typically_ambiguous():
 def test_no_go_witness_bounds_information():
     for seed in range(5):
         u = haar_random_unitary(6, 700 + seed)
-        if any(v.ambiguous for v in scan_bunched_two_mode(u, 2)):
+        if scan_bunched_two_mode(u, 2).ambiguous.any():
             h = mutual_information(outcome_table(u, 2)).h_mutual
             assert h < 2.0 - 1e-6
 
@@ -334,7 +344,7 @@ def test_the_conditioned_class_is_capped_at_one_bit(n_a):
     u = CircuitMatrix(perm)
     assert mutual_information(outcome_table(u, n_a)).h_mutual == pytest.approx(1.0, abs=1e-12)
     assert all(verdict.satisfied for verdict in check_column_conditions(u, n_a))
-    assert not any(verdict.ambiguous for verdict in scan_bunched_two_mode(u, n_a))
+    assert not scan_bunched_two_mode(u, n_a).ambiguous.any()
 
 
 def test_column_conditions_haar_fails():

@@ -376,6 +376,17 @@ def test_outcome_table_rejects_wrong_size():
         outcome_table(CircuitMatrix(np.eye(4)), 2)
 
 
+@pytest.mark.parametrize("n_a", range(7))
+def test_outcome_probabilities_equal_the_cascade_bit_for_bit(n_a):
+    """One probability rule: the per-row form reads the cascade's p to the last bit."""
+    c = _bosonic_factor_array(n_a + 2, n_a + 4)
+    for seed in (1, 2):
+        u = haar_random_unitary(n_a + 4, 60 + 10 * n_a + seed).entries
+        amps = _cascade(u[None], n_a)[2][0]
+        p = bell_probability_pullback(u, n_a)[0]
+        assert np.array_equal(outcome_probabilities(amps.T, c).T, p)
+
+
 @pytest.mark.parametrize("n_a", [0, 2])
 def test_bell_probabilities_consistent_with_branch_amplitudes(n_a):
     """p(y|x) from the four permanent sums equals the direct two-branch evaluation."""

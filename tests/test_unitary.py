@@ -13,11 +13,11 @@ from bellopt.transfer import CircuitMatrix
 from bellopt.unitary import (
     CircuitParams,
     conditioned_block_pattern,
-    expm_i_hermitian,
     haar_random_unitary,
     hermitian_from_storage,
     matrix_distance_to_unitary,
     matrix_entries_from_vectors,
+    matrix_entries_pullback,
     params_to_matrix,
     read_matrix_file,
     sample_conditioned_unitary,
@@ -58,8 +58,7 @@ def test_hermitian_storage_round_trip():
 def test_hermitian_exponentials_are_unitary():
     rng = np.random.default_rng(21)
     for m in (2, 5, 8):
-        h = hermitian_from_storage(rng.uniform(-3, 3, m * m), m)
-        v = expm_i_hermitian(h)
+        v = matrix_entries_from_vectors(rng.uniform(-3, 3, m * m), m)
         assert np.allclose(np.conj(v.T) @ v, np.eye(m), atol=1e-12)
 
 
@@ -68,6 +67,12 @@ def test_matrix_entries_from_vectors_batched():
     m = 4
     vecs = rng.uniform(-1, 1, (6, m * m))
     batch = matrix_entries_from_vectors(vecs, m)
+    assert np.array_equal(batch, matrix_entries_pullback(vecs, m)[0])
+    assert np.array_equal(matrix_entries_from_vectors(vecs.reshape(2, 3, m * m), m),
+                          batch.reshape(2, 3, m, m))
+    # The length is checked before the batch is flattened: 2 x 8 reals are not one vector of 16.
+    with pytest.raises(ContractViolationError, match="needs 16 reals, got 8"):
+        matrix_entries_from_vectors(np.zeros((2, 8)), m)
     for i in range(6):
         single = matrix_entries_from_vectors(vecs[i], m)
         assert np.allclose(batch[i], single, atol=1e-14)
