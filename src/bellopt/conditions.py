@@ -10,9 +10,9 @@ particular construction, is the source of truth.
 
 One clause rule, :func:`clause_verdicts`, sorts (n, 4) arrays of branch
 amplitudes with the transfer module's pair sums and bosonic factors: the
-two-mode products of :func:`bellopt.transfer.two_mode_amplitudes` over the
-bunched rows alone (:func:`scan_bunched_two_mode`, which never builds the
-whole alphabet), or one outcome's Ryser permanents (:func:`classify_outcome`,
+cascade on U's column pairs, which holds the bunched rows alone
+(:func:`scan_bunched_two_mode`, which never builds the whole alphabet), or
+one outcome's Ryser permanents (:func:`classify_outcome`,
 the scan's test reference beside the whole-alphabet cascade).
 Outcomes are occupation rows of :func:`bellopt.fock.enumerate_outcomes`, and
 the verdicts are columns of one :class:`ClauseVerdicts`. The column checker
@@ -41,11 +41,11 @@ from bellopt.infometrics import mutual_information
 from bellopt.transfer import (
     CircuitMatrix,
     _bosonic_factors,
+    _cascade,
     bell_amplitudes,
     outcome_probabilities,
     outcome_table,
     require_modes,
-    two_mode_amplitudes,
 )
 from bellopt.unitary import haar_random_unitary, sample_conditioned_unitary
 
@@ -159,23 +159,31 @@ def _bunched_indices(n_a: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def bunched_two_mode_outcomes(n_a: int) -> np.ndarray:
-    """Every outcome with all photons in at most two modes, as alphabet rows in order.
+def _bunched_table(n_a: int) -> tuple[np.ndarray, ...]:
+    """Read-only ``(outcomes, pairs, pair, state, c)``: the bunched outcomes in alphabet order.
 
-    Built from the mode pairs, without the alphabet: each single mode holds
-    all N_a + 2 photons, and each pair i < j splits them k + (N_a + 2 - k)
-    for 0 < k < N_a + 2. Sorted lexicographically descending, as
-    :func:`bellopt.fock.enumerate_outcomes`. Read-only.
+    ``outcomes[r]`` is state s = ``state[r]`` of column pair (i, j) =
+    ``pairs[pair[r]]``, i < j: N_a + 2 - s photons in mode i and s in mode j.
+    ``c`` holds the outcomes' bosonic factors.
     """
     if n_a < 0:
         raise ContractViolationError(f"n_a must be >= 0, got {n_a}")
     n, m = n_a + 2, n_a + 4
-    splits = [(i, j, k) for i in range(m) for j in range(i + 1, m) for k in range(1, n)]
-    rows = np.zeros((m + len(splits), m), dtype=np.min_scalar_type(n))
-    rows[np.arange(m), np.arange(m)] = n
-    for row, (i, j, k) in zip(rows[m:], splits):
-        row[i], row[j] = k, n - k
-    return read_only(rows[np.lexsort(rows.T[::-1])[::-1]])
+    pairs = np.column_stack(np.triu_indices(m, 1))
+    split = enumerate_outcomes(n, 2)
+    rows = np.zeros((len(pairs), n + 1, m), dtype=split.dtype)
+    rows[np.arange(len(pairs))[:, None, None], np.arange(n + 1)[:, None], pairs[:, None]] = split
+    # Ascending in n - y is descending in y, the alphabet's order. A
+    # single-mode outcome, held by M - 1 pairs, is read from the first.
+    flipped, first = np.unique(n - rows.reshape(-1, m), axis=0, return_index=True)
+    outcomes = n - flipped
+    pair, state = np.divmod(first, n + 1)
+    return tuple(map(read_only, (outcomes, pairs, pair, state, _bosonic_factors(outcomes))))
+
+
+def bunched_two_mode_outcomes(n_a: int) -> np.ndarray:
+    """Every outcome with all photons in at most two modes, as read-only alphabet rows in order."""
+    return _bunched_table(n_a)[0]
 
 
 def scan_bunched_two_mode(
@@ -183,14 +191,16 @@ def scan_bunched_two_mode(
 ) -> ClauseVerdicts:
     """Classify every two-mode-bunched outcome, in alphabet order.
 
-    Any outcome that is NONE with probability mass, an ``ambiguous`` row,
-    marks the analyzer as unable to perform an ideal measurement.
+    The cascade runs on the stack of U's column pairs, (C(M, 2), M, 2): an
+    outcome bunched into modes {i, j} reads only sources inside them. Any
+    outcome that is NONE with probability mass, an ``ambiguous`` row, marks
+    the analyzer as unable to perform an ideal measurement.
     """
     require_modes(u.entries.shape, n_a)
     u.require_subunitary()
-    outcomes = bunched_two_mode_outcomes(n_a)
-    amps = two_mode_amplitudes(u.entries, n_a, outcomes)
-    return clause_verdicts(outcomes, amps, _bosonic_factors(outcomes), tol)
+    outcomes, pairs, pair, state, c = _bunched_table(n_a)
+    amps = _cascade(u.entries[:, pairs].swapaxes(0, 1), n_a)[2]
+    return clause_verdicts(outcomes, amps[pair, :, state], c, tol)
 
 
 def check_column_conditions(

@@ -13,10 +13,10 @@ matrix gets the numbers it gets alone, unless the stack mixes exact-zero
 patterns: a stack gathers every mode that any of its rows reaches.
 :func:`bell_probability_pullback` keeps its levels and runs it in reverse,
 for one matrix or several of the stack at once, again per matrix, for the
-optimizer's gradients.
-:func:`two_mode_amplitudes` runs the same recursion, with the same branch
-table, restricted to two output modes, for the bunched outcomes the
-conditions checker scans, without the rest of the alphabet.
+optimizer's gradients. The same cascade runs on blocks of columns: on the
+stack of every column pair of a matrix it gives the amplitudes of the
+outcomes bunched into two modes, which the conditions checker scans,
+without the rest of the alphabet.
 
 Outcomes are the rows of :func:`bellopt.fock.enumerate_outcomes`. Two
 independent routes to the same amplitudes stay here as test references; they
@@ -362,16 +362,18 @@ _BRANCH_ROWS = read_only(np.array([[0, 1], [1, 0]]))
 
 
 def _cascade(u: np.ndarray, n_a: int):
-    """Every level of the cascade for a stack of (M, M) matrices, (B, M, M).
+    """Every level of the cascade for a stack of (M, M') blocks, (B, M, M').
 
-    Returns ``(levels, qs, amps)``: the ancilla levels 0..n_a, each (B, K_j);
-    the two one-qubit-photon levels as one (B, 2, K') array; and the four
-    branch amplitudes a1, a2, a3, a4 as the rows of one (B, 4, K) array.
-    Every product runs per matrix, so each matrix of a stack without exact
-    zeros gets the numbers it would get alone. The reverse pass reads the
-    kept levels.
+    Rows are the N_a + 4 input modes, columns the alphabet's output modes:
+    square blocks cascade the whole alphabet, column pairs (B, M, 2) the
+    outcomes bunched into two modes. Returns ``(levels, qs, amps)``: the
+    ancilla levels 0..n_a, each (B, K_j); the two one-qubit-photon levels as
+    one (B, 2, K') array; and the four branch amplitudes a1, a2, a3, a4 as
+    the rows of one (B, 4, K) array. Every product runs per block, so each
+    block of a stack without exact zeros gets the numbers it would get
+    alone. The reverse pass reads the kept levels.
     """
-    m = n_a + 4
+    m = u.shape[-1]
     padded = [np.zeros((len(u), 2), dtype=np.complex128)]
     padded[0][:, 0] = 1.0
     for j in range(n_a):
@@ -384,48 +386,6 @@ def _cascade(u: np.ndarray, n_a: int):
     _creation_step(rows, qs, n_a + 1, m, out=amps.reshape(len(u), 2, 2, -1).swapaxes(1, 2))
     levels = [level[:, :-1] for level in padded]
     return levels, qs[..., :-1], amps
-
-
-def two_mode_amplitudes(u_entries: np.ndarray, n_a: int, occupations) -> np.ndarray:
-    """The four branch amplitudes of outcomes with at most two occupied modes.
-
-    ``occupations`` is (B, M), each row N_a + 2 photons in at most two
-    modes; the result is (B, 4), columns (a1, a2, a3, a4), paired as in
-    ``_BRANCH_ROWS``. Let a row put k photons in mode i and the rest in
-    mode j. A branch with rows R then has amplitude the coefficient
-    of t^k in prod_{r in R} (U[r, i] t + U[r, j]): the cascade restricted to
-    two modes, run for every row and branch at once in N_a + 2 steps. For
-    k = N_a + 2 it is the top coefficient, prod_r U[r, i], whatever j is.
-    """
-    u = np.asarray(u_entries, dtype=np.complex128)
-    require_modes(u.shape, n_a)
-    occ = np.asarray(occupations)
-    n, m = n_a + 2, len(u)
-    occupied = occ > 0
-    if not (occ.ndim == 2 and occ.shape[1] == m and np.issubdtype(occ.dtype, np.integer)
-            and (occ >= 0).all() and (occ.sum(axis=1) == n).all()
-            and (occupied.sum(axis=1) <= 2).all()):
-        raise ContractViolationError(
-            f"need integer rows of {n} photons in at most two of {m} modes, "
-            f"got {occ.dtype} of shape {occ.shape}")
-    first = occupied.argmax(axis=1)
-    last = m - 1 - occupied[:, ::-1].argmax(axis=1)
-    k = occ[np.arange(len(occ)), first].astype(np.intp)
-    alpha, beta = u[:, first, None], u[:, last, None]  # (M, B, 1)
-
-    def times(poly, r):
-        """Coefficients of poly (..., B, n + 1) times (alpha[r] t + beta[r])."""
-        out = beta[r] * poly
-        out[..., 1:] += alpha[r] * poly[..., :-1]
-        return out
-
-    poly = np.zeros((len(occ), n + 1), dtype=np.complex128)
-    poly[:, 0] = 1.0
-    for r in range(n_a):
-        poly = times(poly, r)
-    qs = times(poly, [n_a, n_a + 1])
-    amps = times(qs[:, None], n_a + 2 + _BRANCH_ROWS)[..., np.arange(len(occ)), k]
-    return amps.swapaxes(0, 1).reshape(4, len(occ)).T
 
 
 def bell_probability_parts(u_flat: np.ndarray, n_a: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,6 @@ from bellopt.transfer import (
     CircuitMatrix,
     _bosonic_factor_array,
     outcome_table,
-    two_mode_amplitudes,
 )
 from bellopt.unitary import (
     conditioned_block_pattern,
@@ -200,9 +199,9 @@ def test_two_mode_scan_matches_the_whole_alphabet_cascade(case):
     bunched = _bunched_indices(n_a)
     want = transfer._cascade(u.entries[None], n_a)[2][0].T[bunched]
     outcomes = bunched_two_mode_outcomes(n_a)
-    assert np.max(np.abs(two_mode_amplitudes(u.entries, n_a, outcomes) - want)) <= 1e-12
-    reference = clause_verdicts(outcomes, want, _bosonic_factor_array(n_a + 2, n_a + 4)[bunched])
     verdicts = scan_bunched_two_mode(u, n_a)
+    assert np.max(np.abs(verdicts.amplitudes - want)) <= 1e-12
+    reference = clause_verdicts(outcomes, want, _bosonic_factor_array(n_a + 2, n_a + 4)[bunched])
     for name in ("outcomes", "clause", "ambiguous", "sign"):
         assert np.array_equal(getattr(verdicts, name), getattr(reference, name)), name
     assert verdicts.prob_mass.tolist() == pytest.approx(
@@ -210,12 +209,18 @@ def test_two_mode_scan_matches_the_whole_alphabet_cascade(case):
 
 
 def test_scan_never_builds_the_alphabet_and_bounds_its_peak(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the bunched scan reached the whole alphabet")
+    # The scan cascades column pairs, whose alphabets have two modes; any
+    # wider enumeration, through _insertion_sources too, is the whole alphabet's.
+    def two_modes_at_most(enumerate_outcomes):
+        def guarded(n_photons, n_modes):
+            if n_modes > 2:
+                raise AssertionError("the bunched scan reached the whole alphabet")
+            return enumerate_outcomes(n_photons, n_modes)
+        return guarded
 
-    for module, name in ((transfer, "_cascade"), (transfer, "enumerate_outcomes"),
-                         (conditions, "enumerate_outcomes")):
-        monkeypatch.setattr(module, name, refuse)
+    for module in (transfer, conditions):
+        monkeypatch.setattr(module, "enumerate_outcomes",
+                            two_modes_at_most(module.enumerate_outcomes))
     u = sample_conditioned_unitary(8, 1)
     # Twelve single modes, 132 ordered pairs for each of 9+1, 8+2, 7+3, 6+4, 66 for 5+5.
     assert len(scan_bunched_two_mode(u, 8)) == 12 + 4 * 132 + 66  # and warms the caches

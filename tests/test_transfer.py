@@ -27,7 +27,6 @@ from bellopt.transfer import (
     outcome_probabilities,
     outcome_table,
     permanent,
-    two_mode_amplitudes,
 )
 from bellopt.unitary import _storage_basis, haar_random_unitary, sample_conditioned_unitary
 
@@ -482,16 +481,3 @@ def test_forward_caches_only_its_map_and_bounds_its_peak():
     # The scatter-add kernel this replaced peaked at 3.414 MB in this warm
     # N_a = 6 table; the bound is 5% above it, as the benchmark's RSS gate.
     assert peak < 1.05 * 3.414e6
-
-
-@pytest.mark.parametrize("rows", [
-    [(2, 1, 1, 0, 0, 0)],  # three occupied modes
-    [(3, 0, 0, 0, 0, 0)],  # three photons, not N_a + 2 = 4
-    [(4, 0, 0, 0, 0)],  # five modes, not six
-    [(5, -1, 0, 0, 0, 0)],  # a negative occupation
-    np.array([(2.0, 2.0, 0, 0, 0, 0)]),  # not integers
-    [4, 0, 0, 0, 0, 0],  # one row, not a (B, M) array
-], ids=["three-modes", "photons", "width", "negative", "float", "one-dimensional"])
-def test_two_mode_amplitudes_reject_other_rows(rows):
-    with pytest.raises(ContractViolationError, match="photons in at most two of 6 modes"):
-        two_mode_amplitudes(haar_random_unitary(6, 1).entries, 2, rows)
