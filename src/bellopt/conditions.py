@@ -11,9 +11,9 @@ particular construction, is the source of truth.
 One clause rule, :func:`clause_verdicts`, sorts (n, 4) arrays of branch
 amplitudes with the transfer module's pair sums and bosonic factors: the
 cascade on U's column pairs, which holds the bunched rows alone
-(:func:`scan_bunched_two_mode`, which never builds the whole alphabet), or
-one outcome's Ryser permanents (:func:`classify_outcome`,
-the scan's test reference beside the whole-alphabet cascade).
+(:func:`scan_bunched_two_mode`, which never builds the whole alphabet). The
+tests check the scan against one outcome's Ryser permanents and against the
+whole-alphabet cascade.
 Outcomes are occupation rows of :func:`bellopt.fock.enumerate_outcomes`, and
 the verdicts are columns of one :class:`ClauseVerdicts`. The column checker
 reads the zero pattern as boolean masks, and each column verdict lists the
@@ -42,12 +42,16 @@ from bellopt.transfer import (
     CircuitMatrix,
     _bosonic_factors,
     _cascade,
-    bell_amplitudes,
     outcome_probabilities,
     outcome_table,
     require_modes,
 )
 from bellopt.unitary import haar_random_unitary, sample_conditioned_unitary
+
+# Nothing here calls it. perfbench/layers.py's PATCH_POINTS wraps it by name
+# on this module, so it stays until the traced benchmark wraps the
+# production passes instead (ROADMAP item 1).
+from bellopt.transfer import bell_amplitudes
 
 #: Default absolute tolerance below which an amplitude or entry counts as zero.
 DEFAULT_TOL = 1e-10
@@ -137,18 +141,6 @@ def clause_verdicts(
     prob_mass = outcome_probabilities(amps, c).sum(axis=-1)
     ambiguous = (clause == Clause.NONE.value) & (prob_mass >= tol)
     return ClauseVerdicts(np.asarray(outcomes), clause, amps, ambiguous, sign, prob_mass)
-
-
-def classify_outcome(
-    u: CircuitMatrix, y: tuple[int, ...], n_a: int, tol: float = DEFAULT_TOL
-) -> ClauseVerdicts:
-    """Sort one outcome, a tuple of occupations, into clause A, B, C, or NONE.
-
-    The branch amplitudes are Ryser permanents, and the columns have one
-    row: the test reference for the two-mode scan.
-    """
-    amps = bell_amplitudes(u, y, n_a)
-    return clause_verdicts([y], amps[None], _bosonic_factors(np.array([y])), tol)
 
 
 @lru_cache(maxsize=None)

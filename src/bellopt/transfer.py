@@ -18,14 +18,14 @@ stack of every column pair of a matrix it gives the amplitudes of the
 outcomes bunched into two modes, which the conditions checker scans,
 without the rest of the alphabet.
 
-Outcomes are the rows of :func:`bellopt.fock.enumerate_outcomes`. Two
-independent routes to the same amplitudes stay here as test references; they
-take single outcomes as tuples of occupations:
-
-* :func:`amplitude` and :func:`bell_amplitudes` evaluate single matrix
-  elements through a Ryser permanent with Gray-code subset updates,
-* :func:`amplitude_oracle` expands the transformed creation-operator
-  product symbolically (desk scale only).
+Outcomes are the rows of :func:`bellopt.fock.enumerate_outcomes`. The
+independent routes the tests check the cascade against live with the tests,
+not here. Three pieces they build on stay only because the traced benchmark
+imports or wraps them by name, until it traces the production passes
+instead (ROADMAP item 1): :func:`permanent`, a Ryser permanent with
+Gray-code subset updates; :func:`bell_amplitudes`, the four branch
+permanents of one outcome, a tuple of occupations; and
+:func:`bell_probability_parts`, the cascade one matrix at a time.
 
 A mode transformation maps creation operator ``a_r`` to
 ``sum_c U[r, c] a_c``, so row indices are input modes and column indices
@@ -42,10 +42,6 @@ import numpy as np
 
 from bellopt.errors import ContractViolationError, InvalidMatrixError
 from bellopt.fock import enumerate_outcomes, outcome_count, read_only
-
-#: Desk-scale caps for the symbolic expansion oracle.
-ORACLE_MAX_PHOTONS = 4
-ORACLE_MAX_MODES = 6
 
 #: Fixed allowance on singular values beyond 1 before a matrix is rejected.
 SUBUNITARY_TOL = 1e-9
@@ -151,47 +147,6 @@ def _labels(occ: tuple[int, ...]) -> np.ndarray:
 
 def _factorial_product(occ: tuple[int, ...]) -> int:
     return math.prod(map(math.factorial, occ))
-
-
-def amplitude(u: CircuitMatrix, input_state: tuple[int, ...],
-              output_state: tuple[int, ...]) -> complex:
-    """Transition amplitude <output| A(U) |input> via the matrix permanent.
-
-    Equals perm(U[m, m']) / sqrt(prod n_k! * prod n'_k!) where m, m' are the
-    canonical labelings of the two states.
-    """
-    _check_pair(u, input_state, output_state)
-    sub = u.entries[np.ix_(_labels(input_state), _labels(output_state))]
-    norm = _factorial_product(input_state) * _factorial_product(output_state)
-    return permanent(sub) / math.sqrt(norm)
-
-
-def amplitude_oracle(u: CircuitMatrix, input_state: tuple[int, ...],
-                     output_state: tuple[int, ...]) -> complex:
-    """Independent amplitude route: expand the transformed creation-operator product.
-
-    Tracks the polynomial in output-mode creation operators term by term and
-    reads off the coefficient of the output occupation monomial. Exponential
-    bookkeeping limits it to desk scale.
-    """
-    _check_pair(u, input_state, output_state)
-    n, m = sum(input_state), len(input_state)
-    if n > ORACLE_MAX_PHOTONS or m > ORACLE_MAX_MODES:
-        raise ContractViolationError(
-            f"oracle caps at N <= {ORACLE_MAX_PHOTONS}, M <= {ORACLE_MAX_MODES}; "
-            f"got N = {n}, M = {m}"
-        )
-    poly: dict[tuple[int, ...], complex] = {(0,) * m: 1.0 + 0.0j}
-    for label in _labels(input_state):
-        row = u.entries[label]
-        grown: dict[tuple[int, ...], complex] = {}
-        for monomial, coeff in poly.items():
-            for mode in range(m):
-                key = monomial[:mode] + (monomial[mode] + 1,) + monomial[mode + 1:]
-                grown[key] = grown.get(key, 0.0 + 0.0j) + coeff * row[mode]
-        poly = grown
-    coeff = poly.get(tuple(output_state), 0.0 + 0.0j)
-    return coeff * math.sqrt(_factorial_product(output_state) / _factorial_product(input_state))
 
 
 # ---------------------------------------------------------------------------

@@ -107,20 +107,6 @@ def hermitian_from_storage(storage: np.ndarray, m: int) -> np.ndarray:
     return h.view(np.complex128).reshape(storage.shape[:-1] + (m, m))
 
 
-def storage_from_hermitian(h: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`hermitian_from_storage`.
-
-    The rows of the storage basis are orthogonal, so each real is the
-    projection of H on its row over the row's squared norm: the count of
-    its unit entries.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    m = h.shape[-1]
-    basis = _storage_basis(m)
-    projections = (h.reshape(h.shape[:-2] + (m * m,)) @ np.conj(basis.T)).real
-    return projections / np.count_nonzero(basis, axis=1)
-
-
 def matrix_entries_from_vectors(vectors: np.ndarray, m: int) -> np.ndarray:
     """Circuit matrices (..., M^2) -> (..., M, M): the U of :func:`matrix_entries_pullback`."""
     vectors = np.asarray(vectors, dtype=np.float64)

@@ -1,24 +1,147 @@
-"""Earlier forms of the optimizer's forward and reverse passes, kept as exact references.
+"""Every test reference: independent routes, and earlier forms of the optimizer's passes.
 
-Each function here does the same arithmetic as its production counterpart in
-a different arrangement of numpy calls: the generator is assembled by fancy
-indexing rather than by one product with a basis, the cascade's top level is
-one broadcast product, and the reverse pass pulls one creation row at a
-time, accumulating ``u_bar[r] +=``. The production code must match these bit
-for bit, so the tests compare with ``np.array_equal``; both sides run in one
-process, on one BLAS.
+None of this ships in the package; the tests compare the production code
+against it.
+
+* Independent routes to the same numbers, compared to a tolerance:
+  :func:`amplitude` and :func:`classify_outcome` read single outcomes
+  through Ryser permanents, :func:`amplitude_oracle` expands the transformed
+  creation-operator product symbolically (desk scale only),
+  :func:`storage_from_hermitian` inverts the generator assembly, and
+  :func:`_gradient_vector` takes central finite differences over a batched
+  forward of its own, :func:`_objective_vectors`.
+* Earlier forms of the optimizer's forward and reverse passes, compared bit
+  for bit. Each does the same arithmetic as its production counterpart in a
+  different arrangement of numpy calls: the generator is assembled by fancy
+  indexing rather than by one product with a basis, the cascade's top level
+  is one broadcast product, and the reverse pass pulls one creation row at
+  a time, accumulating ``u_bar[r] +=``. The production code must match
+  these bit for bit, so the tests compare with ``np.array_equal``; both
+  sides run in one process, on one BLAS.
+
+Outcomes and Fock states passed to the single-outcome routes are tuples of
+occupations. A mode transformation maps creation operator ``a_r`` to
+``sum_c U[r, c] a_c``, so row indices are input modes and column indices
+are output modes.
 """
+
+import math
 
 import numpy as np
 
-from bellopt.infometrics import conditional_bits_pullback
+from bellopt.conditions import DEFAULT_TOL, ClauseVerdicts, clause_verdicts
+from bellopt.errors import ContractViolationError
+from bellopt.infometrics import conditional_bits, conditional_bits_pullback
 from bellopt.transfer import (
     _GATHER_BLOCK,
+    CircuitMatrix,
     _bosonic_factor_array,
+    _bosonic_factors,
+    _check_pair,
+    _factorial_product,
     _insertion_sources,
     _insertion_targets,
+    _labels,
+    bell_amplitudes,
+    bell_probability_parts,
+    permanent,
 )
+from bellopt.unitary import _storage_basis, matrix_entries_from_vectors
 
+#: Desk-scale caps for the symbolic expansion oracle.
+ORACLE_MAX_PHOTONS = 4
+ORACLE_MAX_MODES = 6
+
+
+def amplitude(u: CircuitMatrix, input_state: tuple[int, ...],
+              output_state: tuple[int, ...]) -> complex:
+    """Transition amplitude <output| A(U) |input> via the matrix permanent.
+
+    Equals perm(U[m, m']) / sqrt(prod n_k! * prod n'_k!) where m, m' are the
+    canonical labelings of the two states.
+    """
+    _check_pair(u, input_state, output_state)
+    sub = u.entries[np.ix_(_labels(input_state), _labels(output_state))]
+    norm = _factorial_product(input_state) * _factorial_product(output_state)
+    return permanent(sub) / math.sqrt(norm)
+
+
+def amplitude_oracle(u: CircuitMatrix, input_state: tuple[int, ...],
+                     output_state: tuple[int, ...]) -> complex:
+    """Independent amplitude route: expand the transformed creation-operator product.
+
+    Tracks the polynomial in output-mode creation operators term by term and
+    reads off the coefficient of the output occupation monomial. Exponential
+    bookkeeping limits it to desk scale.
+    """
+    _check_pair(u, input_state, output_state)
+    n, m = sum(input_state), len(input_state)
+    if n > ORACLE_MAX_PHOTONS or m > ORACLE_MAX_MODES:
+        raise ContractViolationError(
+            f"oracle caps at N <= {ORACLE_MAX_PHOTONS}, M <= {ORACLE_MAX_MODES}; "
+            f"got N = {n}, M = {m}"
+        )
+    poly: dict[tuple[int, ...], complex] = {(0,) * m: 1.0 + 0.0j}
+    for label in _labels(input_state):
+        row = u.entries[label]
+        grown: dict[tuple[int, ...], complex] = {}
+        for monomial, coeff in poly.items():
+            for mode in range(m):
+                key = monomial[:mode] + (monomial[mode] + 1,) + monomial[mode + 1:]
+                grown[key] = grown.get(key, 0.0 + 0.0j) + coeff * row[mode]
+        poly = grown
+    coeff = poly.get(tuple(output_state), 0.0 + 0.0j)
+    return coeff * math.sqrt(_factorial_product(output_state) / _factorial_product(input_state))
+
+
+def classify_outcome(
+    u: CircuitMatrix, y: tuple[int, ...], n_a: int, tol: float = DEFAULT_TOL
+) -> ClauseVerdicts:
+    """Sort one outcome, a tuple of occupations, into clause A, B, C, or NONE.
+
+    The branch amplitudes are Ryser permanents, and the columns have one
+    row: the test reference for the two-mode scan.
+    """
+    amps = bell_amplitudes(u, y, n_a)
+    return clause_verdicts([y], amps[None], _bosonic_factors(np.array([y])), tol)
+
+
+def storage_from_hermitian(h: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`bellopt.unitary.hermitian_from_storage`.
+
+    The rows of the storage basis are orthogonal, so each real is the
+    projection of H on its row over the row's squared norm: the count of
+    its unit entries.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    m = h.shape[-1]
+    basis = _storage_basis(m)
+    projections = (h.reshape(h.shape[:-2] + (m * m,)) @ np.conj(basis.T)).real
+    return projections / np.count_nonzero(basis, axis=1)
+
+
+def _objective_vectors(vectors: np.ndarray, n_a: int) -> np.ndarray:
+    """The objective at a batch of parameter vectors (..., dim): the FD reference's forward."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    m = n_a + 4
+    u = matrix_entries_from_vectors(vectors, m).reshape((-1, m, m))
+    # Batch-major parts layout; conditional_bits reads the transposed views.
+    p, garbage = bell_probability_parts(u, n_a)
+    return conditional_bits(p.transpose(2, 1, 0), garbage.T).reshape(vectors.shape[:-1])
+
+
+def _gradient_vector(x: np.ndarray, n_a: int, step: float) -> np.ndarray:
+    """Central finite-difference gradient: the test reference for the reverse pass."""
+    dim = x.shape[0]
+    points = np.repeat(x[None, :], 2 * dim, axis=0)
+    idx = np.arange(dim)
+    points[idx, idx] += step
+    points[dim + idx, idx] -= step
+    values = _objective_vectors(points, n_a)
+    return (values[:dim] - values[dim:]) / (2.0 * step)
+
+
+# Earlier forms of the optimizer's passes, compared bit for bit.
 
 def hermitian_from_storage(storage: np.ndarray, m: int) -> np.ndarray:
     """Hermitian matrix from its real storage by index assembly; batch axes pass through."""

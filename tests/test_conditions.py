@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reference import classify_outcome
 from bellopt import conditions, transfer
 from bellopt.conditions import (
     Clause,
     _bunched_indices,
     bunched_two_mode_outcomes,
     check_column_conditions,
-    classify_outcome,
     clause_verdicts,
     conditioned_vs_unconditioned_experiment,
     scan_bunched_two_mode,

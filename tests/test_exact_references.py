@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference
+from reference import storage_from_hermitian
 from bellopt.fock import outcome_count
 from bellopt.optimizer import (
     _bfgs_descent,
@@ -19,7 +20,6 @@ from bellopt.unitary import (
     haar_random_unitary,
     hermitian_from_storage,
     matrix_entries_pullback,
-    storage_from_hermitian,
 )
 
 N_AS = (0, 1, 2, 3, 4)

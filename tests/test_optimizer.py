@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from reference import one_at_a_time
+from reference import _gradient_vector, _objective_vectors, one_at_a_time
 from bellopt import optimizer, transfer
 from bellopt.errors import ContractViolationError
 from bellopt.infometrics import conditional_bits_pullback, mutual_information
@@ -14,9 +14,7 @@ from bellopt.optimizer import (
     OptimizerConfig,
     RestartRecord,
     _bfgs_descent,
-    _gradient_vector,
     _lockstep,
-    _objective_vectors,
     _value_and_pullback,
     _values_and_pullbacks,
     gradient,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import amplitude, amplitude_oracle
 from bellopt.conditions import _bunched_indices
 from bellopt.errors import ContractViolationError, InvalidMatrixError
 from bellopt.fock import enumerate_outcomes, outcome_count
@@ -18,8 +19,6 @@ from bellopt.transfer import (
     _insertion_sources,
     _insertion_targets,
     _labels,
-    amplitude,
-    amplitude_oracle,
     bell_amplitudes,
     bell_input_branches,
     bell_probability_parts,

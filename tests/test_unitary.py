@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import storage_from_hermitian
 from bellopt.errors import (
     ContractViolationError,
     MatrixFileError,
@@ -21,7 +22,6 @@ from bellopt.unitary import (
     params_to_matrix,
     read_matrix_file,
     sample_conditioned_unitary,
-    storage_from_hermitian,
     write_matrix_file,
 )
 
