@@ -23,8 +23,12 @@ the value there, then, at its start and after each accepted trial, yields a
 gradient request and is sent the gradient at that point. Restarts run in
 lockstep groups of consecutive indices, and each round has two phases: one
 forward over a leading batch axis for every live restart's pending trial
-point, then one reverse pass for the restarts that ask for a gradient, over
-their slices of the kept levels. A group holds
+point, then, if any restart asks for a gradient, one reverse pass over the
+whole stack, from which each asking restart reads its row; the rows of
+rejected trials are discarded. Each link of the chain, the exponential, the
+cascade and the entropy, is a forward over any batch shape whose pullback
+returns a gradient shaped like its input, so the chain is plain
+composition. A group holds
 ``max(1, _LOCKSTEP_OUTCOMES // K)`` restarts for K outcomes, at most an even
 share of the restarts per worker, so small alphabets share a forward and a
 reverse pass and N_a >= 4 runs one restart per group. Every product of both
@@ -167,32 +171,26 @@ def objective(params: CircuitParams, n_a: int) -> float:
 
 
 def _values_and_pullbacks(vectors: np.ndarray, n_a: int):
-    """The objective at each row of a stack (B, dim), plus ``pull`` for the gradients of any rows.
+    """The objective at each row of a stack (B, dim), plus ``pull`` for their gradients.
 
-    Returns ``(values, pull)``: B floats, and ``pull(items)``, which maps
-    row indices (n,), in any order and with repeats, to their gradients
-    (n, dim). One forward runs for the whole stack and keeps every level
-    the reverse pass reads, and one call of ``pull`` runs one reverse pass
-    over the picked rows' slices, with no second forward. Every product of
-    both passes runs per row, so a row whose circuit has no exact zeros, as
-    at any seeded point, gets the numbers it would get alone, however it
-    is stacked and pulled.
+    Returns ``(values, pull)``: B floats, and ``pull()``, which returns the
+    gradients of every row, (B, dim). One forward runs for the whole stack
+    and keeps every level the reverse pass reads, and ``pull`` chains the
+    three pullbacks over the whole stack, with no second forward. Every
+    product of both passes runs per row, so a row whose circuit has no
+    exact zeros, as at any seeded point, gets the numbers it would get
+    alone, however it is stacked.
     """
     u, u_pullback = matrix_entries_pullback(vectors, n_a + 4)
     p, garbage, p_pullback = bell_probability_pullback(u, n_a)
     f, p_bar, g_bar = conditional_bits_pullback(p.swapaxes(-1, -2), garbage)
-
-    def pull(items) -> np.ndarray:
-        items = np.asarray(items, dtype=np.intp)
-        return u_pullback(p_pullback(p_bar[items].swapaxes(-1, -2), g_bar[items], items), items)
-
-    return f.tolist(), pull
+    return f.tolist(), lambda: u_pullback(p_pullback(p_bar.swapaxes(-1, -2), g_bar))
 
 
 def _value_and_pullback(x: np.ndarray, n_a: int):
     """Objective at one parameter vector, plus a thunk that returns its gradient: a stack of one."""
     values, pull = _values_and_pullbacks(x[None], n_a)
-    return values[0], lambda: pull([0])[0]
+    return values[0], lambda: pull()[0]
 
 
 def gradient(params: CircuitParams, n_a: int) -> np.ndarray:
@@ -293,10 +291,11 @@ def _lockstep(descents: list, evaluate) -> list[tuple[np.ndarray, float, dict]]:
     A round has two phases. First every live descent's pending point goes
     into one call of ``evaluate``, which maps a (B, dim) stack to
     ``(values, pull)`` as :func:`_values_and_pullbacks` does, and each
-    descent is sent its value. Then the rows of the descents that ask for a
-    gradient go into one call of ``pull``, and each is sent its row. So a
-    round runs one forward and at most one reverse pass, and a descent's
-    numbers do not depend on which others share its rounds.
+    descent is sent its value. Then, if any descent asks for a gradient,
+    one call of ``pull()`` returns the gradients of all B rows, and each
+    asking descent is sent its own row. So a round runs one forward and at
+    most one reverse pass, and a descent's numbers do not depend on which
+    others share its rounds.
     """
     ends: list = [None] * len(descents)
 
@@ -315,8 +314,9 @@ def _lockstep(descents: list, evaluate) -> list[tuple[np.ndarray, float, dict]]:
         requests = [answer(k, f) for k, f in zip(live, values)]
         asking = [row for row, request in enumerate(requests) if request is _GRADIENT]
         if asking:
-            for row, g in zip(asking, pull(asking)):
-                requests[row] = answer(live[row], g)
+            gradients = pull()
+            for row in asking:
+                requests[row] = answer(live[row], gradients[row])
         pending = {k: request for k, request in zip(live, requests) if request is not None}
     return ends
 

@@ -11,12 +11,13 @@ experiment read it. It runs over a stack of matrices on a leading axis,
 one matrix being a stack of one. Every product runs per matrix, so each
 matrix gets the numbers it gets alone, unless the stack mixes exact-zero
 patterns: a stack gathers every mode that any of its rows reaches.
-:func:`bell_probability_pullback` keeps its levels and runs it in reverse,
-for one matrix or several of the stack at once, again per matrix, for the
-optimizer's gradients. The same cascade runs on blocks of columns: on the
-stack of every column pair of a matrix it gives the amplitudes of the
-outcomes bunched into two modes, which the conditions checker scans,
-without the rest of the alphabet.
+:func:`bell_probability_pullback` keeps its levels and runs it in reverse
+over the whole stack, again per matrix, for the optimizer's gradients: its
+pullback takes derivatives shaped like the forward's outputs and returns a
+gradient shaped like its input. The same cascade runs on blocks of
+columns: on the stack of every column pair of a matrix it gives the
+amplitudes of the outcomes bunched into two modes, which the conditions
+checker scans, without the rest of the alphabet.
 
 Outcomes are the rows of :func:`bellopt.fock.enumerate_outcomes`. The
 independent routes the tests check the cascade against live with the tests,
@@ -25,7 +26,7 @@ imports or wraps them by name, until it traces the production passes
 instead (ROADMAP item 1): :func:`permanent`, a Ryser permanent with
 Gray-code subset updates; :func:`bell_amplitudes`, the four branch
 permanents of one outcome, a tuple of occupations; and
-:func:`bell_probability_parts`, the cascade one matrix at a time.
+:func:`bell_probability_parts`, the stacked cascade in a batch-last layout.
 
 A mode transformation maps creation operator ``a_r`` to
 ``sum_c U[r, c] a_c``, so row indices are input modes and column indices
@@ -347,14 +348,11 @@ def bell_probability_parts(u_flat: np.ndarray, n_a: int) -> tuple[np.ndarray, np
     """Outcome probabilities of a flat batch: p (4, K, B), garbage (4, B).
 
     The first axis runs over the four Bell inputs; ``u_flat`` must be a flat
-    batch (B, M, M). It is evaluated one matrix at a time; ``p`` and
-    ``garbage`` view batch-major stacks of the per-matrix results.
+    batch (B, M, M). It runs as one stack through
+    :func:`bell_probability_pullback`, and ``p`` and ``garbage`` view its
+    batch-major results.
     """
-    # Stacked after the loop, not filled into a buffer allocated before it:
-    # at large K that keeps the heap's peak at the single-matrix forward's.
-    pairs = [bell_probability_pullback(u, n_a)[:2] for u in np.asarray(u_flat)]
-    p = np.stack([pair[0] for pair in pairs])
-    garbage = np.stack([pair[1] for pair in pairs])
+    p, garbage = bell_probability_pullback(u_flat, n_a)[:2]
     return p.transpose(1, 2, 0), garbage.T
 
 
@@ -406,21 +404,19 @@ def _pull_creation_row(
 
 
 def bell_probability_pullback(u: np.ndarray, n_a: int):
-    """Outcome probabilities of one matrix or a stack, plus the map back to a matrix.
+    """Outcome probabilities of one matrix or a stack, plus the map back to the matrices.
 
-    ``u`` is one (M, M) matrix or a stack (B, M, M); one matrix runs as a
-    stack of one, and each matrix of a stack gets the numbers it would get
-    alone where the stack shares its exact zeros (see :func:`_cascade`).
-    Returns ``(p, garbage, pullback)`` with ``p`` of shape (..., 4, K)
-    in the layout of :func:`bell_probability_parts` and ``garbage`` of shape
-    (..., 4). ``pullback(p_bar, g_bar, item=0)`` takes the derivatives of a
-    real function with respect to one matrix's ``p`` (4, K) and ``garbage``
-    (4,) and returns its gradient with respect to that (M, M) matrix, as
-    d/dRe U + i d/dIm U. ``item`` picks the matrix of a stack: an int, or
-    an index array (n,) with derivatives (n, 4, K) and (n, 4) and a result
-    (n, M, M), pulled in one pass whose products run per matrix on matmul's
-    batch axis, so each item gets the numbers it gets alone. The forward
-    keeps every cascade level, so the reverse pass costs about one forward.
+    ``u`` is one (M, M) matrix or a stack (..., M, M) of any batch shape,
+    run as one flat stack; each matrix of a stack gets the numbers it would
+    get alone where the stack shares its exact zeros (see :func:`_cascade`).
+    Returns ``(p, garbage, pullback)`` with ``p`` of shape (..., 4, K) and
+    ``garbage`` of shape (..., 4). ``pullback(p_bar, g_bar)`` takes the
+    derivatives of a real function with respect to every ``p`` and
+    ``garbage``, in their shapes, and returns its gradient with respect to
+    ``u``, in the shape of ``u``, as d/dRe U + i d/dIm U. Its products run
+    per matrix on matmul's batch axis, so each matrix gets the gradient it
+    gets pulled alone. The forward keeps every cascade level, so the
+    reverse pass costs about one forward.
     """
     u = np.asarray(u, dtype=np.complex128)
     require_modes(u.shape[-2:], n_a)
@@ -435,29 +431,29 @@ def bell_probability_pullback(u: np.ndarray, n_a: int):
     leak = 1.0 - p.sum(axis=-1)
     garbage = np.maximum(leak, 0.0)
 
-    def pullback(p_bar: np.ndarray, g_bar: np.ndarray, item=0) -> np.ndarray:
+    def pullback(p_bar: np.ndarray, g_bar: np.ndarray) -> np.ndarray:
         # garbage = max(1 - sum_y p, 0): clamped inputs pass no gradient.
-        p_bar = p_bar - np.where(leak[item] > 0.0, g_bar, 0.0)[..., None]
-        a_bar = _pair_sums((2.0 * c) * p_bar * sums[item])
-        conj_u = np.conj(stack[item])
+        g_bar = np.where(leak > 0.0, np.reshape(g_bar, leak.shape), 0.0)
+        p_bar = np.reshape(p_bar, sums.shape) - g_bar[..., None]
+        a_bar = _pair_sums((2.0 * c) * p_bar * sums)
+        conj_u = np.conj(stack)
         u_bar = np.empty_like(conj_u)
         # The four branches in one pull, as in the forward: branch a_{2j+v+1}
         # is [v, j], qubit level v through rail row n_a + 2 + _BRANCH_ROWS[v, j].
         a_bar = a_bar.reshape(a_bar.shape[:-2] + (2, 2, -1)).swapaxes(-3, -2)
         q_from, r_from = _pull_creation_row(
-            np.conj(qs[item])[..., None, :], conj_u[..., n_a + 2 + _BRANCH_ROWS, :], n_a + 1,
-            a_bar)
+            np.conj(qs)[..., None, :], conj_u[..., n_a + 2 + _BRANCH_ROWS, :], n_a + 1, a_bar)
         # Rail rows r2 and r3 sum branches (a1, a4) and (a3, a2), and the
         # qubit levels (a1, a3) and (a2, a4), in the reference's order.
         u_bar[..., n_a + 2:, :] = r_from[..., 0, :, :] + r_from[..., 1, ::-1, :]
         q_bar = q_from[..., 0, :] + q_from[..., 1, :]
         from_q, u_bar[..., n_a:n_a + 2, :] = _pull_creation_row(
-            np.conj(levels[n_a][item])[..., None, :], conj_u[..., n_a:n_a + 2, :], n_a, q_bar)
+            np.conj(levels[n_a])[..., None, :], conj_u[..., n_a:n_a + 2, :], n_a, q_bar)
         vec_bar = from_q[..., 0, :] + from_q[..., 1, :] if n_a else None
         for j in range(n_a - 1, -1, -1):
             vec_bar, u_bar[..., j, :] = _pull_creation_row(
-                np.conj(levels[j][item]), conj_u[..., j, :], j, vec_bar)
-        return u_bar
+                np.conj(levels[j]), conj_u[..., j, :], j, vec_bar)
+        return u_bar.reshape(u.shape)
 
     batch = u.shape[:-2]
     return p.reshape(batch + p.shape[1:]), garbage.reshape(batch + (4,)), pullback

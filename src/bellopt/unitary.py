@@ -96,12 +96,15 @@ def _storage_basis(m: int) -> np.ndarray:
 
 
 def hermitian_from_storage(storage: np.ndarray, m: int) -> np.ndarray:
-    """Hermitian matrix from its real storage; batch axes pass through."""
+    """Hermitian matrix from its real storage; batch axes pass through.
+
+    The parametrization's one length check: the last axis must hold M^2
+    reals, and a scalar has no such axis.
+    """
     storage = np.asarray(storage, dtype=np.float64)
-    if storage.shape[-1] != m * m:
-        raise ContractViolationError(
-            f"storage for m={m} needs {m * m} reals, got {storage.shape[-1]}"
-        )
+    got = storage.shape[-1] if storage.ndim else "a scalar"
+    if got != m * m:
+        raise ContractViolationError(f"storage for m={m} needs {m * m} reals, got {got}")
     # A real product with B's (re, im) pairs, read back as complex.
     h = storage @ _storage_basis(m).view(np.float64)
     return h.view(np.complex128).reshape(storage.shape[:-1] + (m, m))
@@ -109,27 +112,18 @@ def hermitian_from_storage(storage: np.ndarray, m: int) -> np.ndarray:
 
 def matrix_entries_from_vectors(vectors: np.ndarray, m: int) -> np.ndarray:
     """Circuit matrices (..., M^2) -> (..., M, M): the U of :func:`matrix_entries_pullback`."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.shape[-1] != m * m:
-        raise ContractViolationError(
-            f"storage for m={m} needs {m * m} reals, got {vectors.shape[-1]}")
-    u = matrix_entries_pullback(vectors.reshape(-1, m * m), m)[0]
-    return u.reshape(vectors.shape[:-1] + (m, m))
+    return matrix_entries_pullback(vectors, m)[0]
 
 
 def matrix_entries_pullback(vectors: np.ndarray, m: int):
-    """Circuit matrices for one vector (M^2,) or a stack (B, M^2), plus the map back.
+    """Circuit matrices for a stack of vectors (..., M^2) of any batch shape, plus the map back.
 
-    Returns ``(u, pullback)`` where ``u`` is exp(i*H) of each vector, as
-    :func:`matrix_entries_from_vectors` returns it, and
-    ``pullback(u_bar, item=0)`` turns the gradient of a real function with
-    respect to one matrix (stored as d/dRe U + i d/dIm U) into its gradient
-    over that matrix's M^2 parameters. ``item`` picks the matrix of a stack:
-    an int, with ``u_bar`` (M, M) and a result (M^2,), or an index array
-    (n,), with ``u_bar`` (n, M, M) and a result (n, M^2). One vector is a
-    stack of one, and every product runs per matrix on matmul's batch axis,
-    so every matrix of a stack, pulled alone or with others, gets the
-    numbers it would get alone.
+    Returns ``(u, pullback)`` where ``u`` (..., M, M) is exp(i*H) of each
+    vector, and ``pullback(u_bar)`` turns the gradient of a real function
+    with respect to every matrix, ``u_bar`` in the shape of ``u`` (stored
+    as d/dRe U + i d/dIm U), into its gradient over the parameters, in the
+    shape of ``vectors``. Every product runs per matrix, on matmul's batch
+    axis where there is one, so each matrix gets the numbers it gets alone.
 
     Daleckii-Krein: with H = Q diag(w) Q^dag, the derivative of exp(i*H) is
     Q (F o (Q^dag dH Q)) Q^dag with divided differences
@@ -137,17 +131,11 @@ def matrix_entries_pullback(vectors: np.ndarray, m: int):
     as w_k -> w_j. Written as i e^{i (w_j + w_k)/2} sinc((w_j - w_k) / 2pi),
     the same expression covers equal and nearly equal eigenvalues.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim not in (1, 2) or vectors.shape[-1] != m * m:
-        raise ContractViolationError(
-            f"parameter vector for m={m} must have length {m * m}, got {vectors.shape}"
-        )
-    eigvals, eigvecs = np.linalg.eigh(hermitian_from_storage(vectors.reshape(-1, m * m), m))
-    eigvecs_h = np.conj(eigvecs.swapaxes(-1, -2))
-    u = (eigvecs * np.exp(1j * eigvals)[:, None, :]) @ eigvecs_h
+    w, q = np.linalg.eigh(hermitian_from_storage(vectors, m))
+    q_h = np.conj(q.swapaxes(-1, -2))
+    u = (q * np.exp(1j * w)[..., None, :]) @ q_h
 
-    def pullback(u_bar: np.ndarray, item=0) -> np.ndarray:
-        w, q, q_h = eigvals[item], eigvecs[item], eigvecs_h[item]
+    def pullback(u_bar: np.ndarray) -> np.ndarray:
         gap = w[..., :, None] - w[..., None, :]
         mean = (w[..., :, None] + w[..., None, :]) / 2.0
         divided = 1j * np.exp(1j * mean) * np.sinc(gap / (2.0 * np.pi))
@@ -159,7 +147,7 @@ def matrix_entries_pullback(vectors: np.ndarray, m: int):
         h_flat = h_bar.reshape(h_bar.shape[:-2] + (m * m,)).view(np.float64)
         return (_storage_basis(m).view(np.float64) @ h_flat[..., None])[..., 0]
 
-    return u.reshape(vectors.shape[:-1] + (m, m)), pullback
+    return u, pullback
 
 
 def params_to_matrix(params: CircuitParams) -> CircuitMatrix:

@@ -265,12 +265,12 @@ def one_at_a_time(value_and_pullback):
     """A stack evaluator ``(values, pull)`` that answers each point x alone.
 
     ``value_and_pullback(x)`` returns the value at x and a thunk for the
-    gradient there, as :func:`value_and_pullback` does; ``pull(items)``
-    stacks the picked rows' thunks, one reverse pass per row.
+    gradient there, as :func:`value_and_pullback` does; ``pull()`` stacks
+    every point's thunk, one reverse pass per point.
     """
 
     def evaluate(points):
         values, thunks = zip(*map(value_and_pullback, points))
-        return values, lambda items: np.array([thunks[item]() for item in items])
+        return values, lambda: np.array([thunk() for thunk in thunks])
 
     return evaluate

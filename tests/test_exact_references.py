@@ -98,28 +98,49 @@ def test_stacked_creation_row_pull_equals_each_row_alone(n_a):
                 assert np.array_equal(vec_bar[i], want_vec)
 
 
+@pytest.mark.parametrize("n_a", [0, 2, 4])
+def test_pullbacks_return_gradients_shaped_like_their_inputs(n_a):
+    # Each pullback is the adjoint of its forward, shape for shape: a batch
+    # shape in gives that batch shape out, and each item of a stacked pull
+    # is that item pulled alone.
+    m = n_a + 4
+    rng = np.random.default_rng(70 + n_a)
+    vectors = np.stack([initial_vector(n_a, 0.5, rng) for _ in range(6)])
+    u_bars = rng.standard_normal((6, m, m)) + 1j * rng.standard_normal((6, m, m))
+    alone = [matrix_entries_pullback(x, m)[1](u_bar) for x, u_bar in zip(vectors, u_bars)]
+    assert alone[0].shape == (m * m,)
+    for shape in ((6,), (2, 3)):
+        u, pullback = matrix_entries_pullback(vectors.reshape(shape + (m * m,)), m)
+        assert u.shape == shape + (m, m)
+        grads = pullback(u_bars.reshape(shape + (m, m)))
+        assert grads.shape == shape + (m * m,)
+        assert all(map(np.array_equal, grads.reshape(6, m * m), alone))
+    u = np.stack([haar_random_unitary(m, 80 + i).entries for i in range(3)])
+    p, garbage, pullback = bell_probability_pullback(u, n_a)
+    p_bars, g_bars = rng.standard_normal(p.shape), rng.standard_normal(garbage.shape)
+    grads = pullback(p_bars, g_bars)
+    assert grads.shape == u.shape
+    for b in range(3):
+        grad = bell_probability_pullback(u[b], n_a)[2](p_bars[b], g_bars[b])
+        assert grad.shape == (m, m) and np.array_equal(grads[b], grad)
+
+
 @pytest.mark.parametrize("rows", [[0], [0, 1, 2, 1, 3]], ids=["one", "repeated-row"])
 @pytest.mark.parametrize("n_a", [0, 2, 4])
 def test_stacked_evaluation_equals_each_row_alone(n_a, rows):
-    # Each row of one stacked forward gets the value and the gradient it gets
-    # alone and from the references, with the gradients read in any order:
-    # one row per pull, or several rows, out of order and repeated, in one.
+    # Each row of one stacked forward gets the value, and from one pull of
+    # the whole stack the gradient, that it gets alone and from the references.
     rng = np.random.default_rng(40 + n_a)
     points = np.stack([initial_vector(n_a, 0.5, rng) for _ in range(4)])[rows]
     values, pull = _values_and_pullbacks(points, n_a)
     assert len(values) == len(rows)
-    gradients = [pull([row])[0] for row in reversed(range(len(rows)))][::-1]
+    gradients = pull()
+    assert gradients.shape == points.shape
     for x, f, g in zip(points, values, gradients):
         f_alone, pull_alone = _value_and_pullback(x, n_a)
         want_f, want_pull = reference.value_and_pullback(x, n_a)
         assert type(f) is float and f == f_alone == want_f
         assert np.array_equal(g, pull_alone()) and np.array_equal(g, want_pull())
-    items = [len(rows) - 1, 0, len(rows) - 1, len(rows) // 2]
-    pulled = pull(items)
-    assert pulled.shape == (len(items), points.shape[1])
-    for item, g in zip(items, pulled):
-        want_pull = reference.value_and_pullback(points[item], n_a)[1]
-        assert np.array_equal(g, gradients[item]) and np.array_equal(g, want_pull())
 
 
 @pytest.mark.parametrize("n_a", [0, 2])

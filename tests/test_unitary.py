@@ -70,9 +70,13 @@ def test_matrix_entries_from_vectors_batched():
     assert np.array_equal(batch, matrix_entries_pullback(vecs, m)[0])
     assert np.array_equal(matrix_entries_from_vectors(vecs.reshape(2, 3, m * m), m),
                           batch.reshape(2, 3, m, m))
-    # The length is checked before the batch is flattened: 2 x 8 reals are not one vector of 16.
+    # One length check, on the last axis: 2 x 8 reals are not one vector of 16,
+    # and a scalar is no vector at all.
     with pytest.raises(ContractViolationError, match="needs 16 reals, got 8"):
         matrix_entries_from_vectors(np.zeros((2, 8)), m)
+    for build in (hermitian_from_storage, matrix_entries_from_vectors, matrix_entries_pullback):
+        with pytest.raises(ContractViolationError, match="storage for m=1 needs 1 reals, got"):
+            build(1.0, 1)
     for i in range(6):
         single = matrix_entries_from_vectors(vecs[i], m)
         assert np.allclose(batch[i], single, atol=1e-14)
