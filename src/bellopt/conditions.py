@@ -173,11 +173,6 @@ def _bunched_table(n_a: int) -> tuple[np.ndarray, ...]:
     return tuple(map(read_only, (outcomes, pairs, pair, state, _bosonic_factors(outcomes))))
 
 
-def bunched_two_mode_outcomes(n_a: int) -> np.ndarray:
-    """Every outcome with all photons in at most two modes, as read-only alphabet rows in order."""
-    return _bunched_table(n_a)[0]
-
-
 def scan_bunched_two_mode(
     u: CircuitMatrix, n_a: int, tol: float = DEFAULT_TOL
 ) -> ClauseVerdicts:

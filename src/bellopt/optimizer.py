@@ -19,16 +19,15 @@ own.
 
 Global search is seeded multi-start with a deterministic reduction. The
 descent is a coroutine: it yields each point it needs evaluated and is sent
-the value there, then, at its start and after each accepted trial, yields a
-gradient request and is sent the gradient at that point. Restarts run in
-lockstep groups of consecutive indices, and each round has two phases: one
-forward over a leading batch axis for every live restart's pending trial
-point, then, if any restart asks for a gradient, one reverse pass over the
-whole stack, from which each asking restart reads its row; the rows of
-rejected trials are discarded. Each link of the chain, the exponential, the
-cascade and the entropy, is a forward over any batch shape whose pullback
-returns a gradient shaped like its input, so the chain is plain
-composition. A group holds
+one reply, ``(f, grad)``, the value there and a thunk for the gradient
+there, which it calls at its start and at each accepted trial. Restarts run
+in lockstep groups of consecutive indices. Each round stacks every live
+restart's pending point into one forward over a leading batch axis and
+sends each restart its reply; the first thunk called runs one reverse pass
+over the whole stack, and every other reads its row of it. Each link of the
+chain, the exponential, the cascade and the entropy, is a forward over any
+batch shape whose pullback returns a gradient shaped like its input, so the
+chain is plain composition. A group holds
 ``max(1, _LOCKSTEP_OUTCOMES // K)`` restarts for K outcomes, at most an even
 share of the restarts per worker, so small alphabets share a forward and a
 reverse pass and N_a >= 4 runs one restart per group. Every product of both
@@ -131,11 +130,13 @@ class RestartRecord:
     ``_GRADIENT_TOL``), ``line_search_floor`` (no step along the quasi-Newton or
     the steepest-descent direction gave a representable decrease) or
     ``iteration_cap``. ``f_evals`` counts line-search trials (one forward
-    each), ``grad_evals`` reverse passes (the start and each accepted trial),
-    ``backtracks`` rejected line-search trials and ``steepest_fallbacks``
-    resets of the inverse Hessian to steepest descent. The line search is
-    Armijo backtracking by quadratic interpolation; a trial it rejects still
-    counts as one backtrack, so ``f_evals - backtracks == iterations``.
+    each), ``grad_evals`` the gradients the descent read (the start and each
+    accepted trial; where restarts share a group, at N_a <= 2, one round's
+    single reverse pass serves every restart that reads one), ``backtracks``
+    rejected line-search trials and ``steepest_fallbacks`` resets of the
+    inverse Hessian to steepest descent. The line search is Armijo
+    backtracking by quadratic interpolation; a trial it rejects still counts
+    as one backtrack, so ``f_evals - backtracks == iterations``.
     """
 
     restart: int
@@ -171,26 +172,31 @@ def objective(params: CircuitParams, n_a: int) -> float:
 
 
 def _values_and_pullbacks(vectors: np.ndarray, n_a: int):
-    """The objective at each row of a stack (B, dim), plus ``pull`` for their gradients.
+    """One reply ``(f, grad)`` per row of a stack (B, dim): the value and a gradient thunk.
 
-    Returns ``(values, pull)``: B floats, and ``pull()``, which returns the
-    gradients of every row, (B, dim). One forward runs for the whole stack
-    and keeps every level the reverse pass reads, and ``pull`` chains the
-    three pullbacks over the whole stack, with no second forward. Every
-    product of both passes runs per row, so a row whose circuit has no
-    exact zeros, as at any seeded point, gets the numbers it would get
-    alone, however it is stacked.
+    One forward runs for the whole stack and keeps every level the reverse
+    pass reads. The first ``grad()`` called chains the three pullbacks over
+    the whole stack, with no second forward; every ``grad()`` reads its row
+    of that result. Every product of both passes runs per row, so a row with
+    no exact zeros, as at any seeded point, gets the numbers it gets alone.
+    A thunk holds its stack's forward alive: keep none past its use.
     """
     u, u_pullback = matrix_entries_pullback(vectors, n_a + 4)
     p, garbage, p_pullback = bell_probability_pullback(u, n_a)
     f, p_bar, g_bar = conditional_bits_pullback(p.swapaxes(-1, -2), garbage)
-    return f.tolist(), lambda: u_pullback(p_pullback(p_bar.swapaxes(-1, -2), g_bar))
+    gradients = []  # by hand: building a functools.cache each round costs more
+
+    def grad(row):
+        if not gradients:
+            gradients.append(u_pullback(p_pullback(p_bar.swapaxes(-1, -2), g_bar)))
+        return gradients[0][row]
+
+    return [(value, partial(grad, row)) for row, value in enumerate(f.tolist())]
 
 
 def _value_and_pullback(x: np.ndarray, n_a: int):
     """Objective at one parameter vector, plus a thunk that returns its gradient: a stack of one."""
-    values, pull = _values_and_pullbacks(x[None], n_a)
-    return values[0], lambda: pull()[0]
+    return _values_and_pullbacks(x[None], n_a)[0]
 
 
 def gradient(params: CircuitParams, n_a: int) -> np.ndarray:
@@ -199,24 +205,20 @@ def gradient(params: CircuitParams, n_a: int) -> np.ndarray:
     return _value_and_pullback(params.to_vector(), n_a)[1]()
 
 
-#: What :func:`_bfgs_descent` yields to ask for the gradient at the point
-#: whose value it was just sent.
-_GRADIENT = object()
-
-
 def _bfgs_descent(x0: np.ndarray, max_iterations: int):
     """Minimize an objective from x0: a coroutine that asks for every evaluation.
 
-    It yields each point it needs evaluated and must be sent the value
-    ``f`` there. At its start and after each accepted trial it then yields
-    :data:`_GRADIENT` and must be sent the gradient at that same point.
-    :func:`_lockstep` answers these requests. It returns (x, f, stats) with
+    It yields each point it needs evaluated and is sent a reply ``(f, grad)``
+    such as :func:`_lockstep` passes on from :func:`_values_and_pullbacks`:
+    the value there and a gradient thunk, which it calls at its start and at
+    the trial it accepts, and keeps no longer. It returns (x, f, stats), with
     stats holding the :class:`RestartRecord` fields other than ``restart``
     and ``h_mutual``.
     """
     x = np.array(x0, dtype=np.float64)
-    f = yield x
-    g = yield _GRADIENT
+    f, grad = yield x
+    g = grad()
+    del grad  # it holds the start's forward alive
     trace = [f]
     h_inv = None  # inverse-Hessian estimate; None means steepest descent
     iterations = 0
@@ -224,17 +226,17 @@ def _bfgs_descent(x0: np.ndarray, max_iterations: int):
     counts = {"f_evals": 0, "grad_evals": 1, "backtracks": 0, "steepest_fallbacks": 0}
 
     def backtrack(direction: np.ndarray):
-        """(x, f) of the first Armijo trial, or None."""
+        """(x, f, gradient) of the first Armijo trial, or None."""
         slope = float(g @ direction)
         if slope >= 0.0:
             return None
         step_size = 1.0
         for _ in range(_MAX_BACKTRACKS):
             x_try = x + step_size * direction
-            f_try = yield x_try
+            f_try, grad = yield x_try
             counts["f_evals"] += 1
             if f_try < f and f_try <= f + _ARMIJO_C1 * step_size * slope:
-                return x_try, f_try
+                return x_try, f_try, grad()
             counts["backtracks"] += 1
             # Minimizer of the quadratic through f, the slope and f_try (a
             # rejected trial makes its denominator positive), kept in [0.1, 0.5]
@@ -258,9 +260,7 @@ def _bfgs_descent(x0: np.ndarray, max_iterations: int):
             # No representable decrease: objective is at its numerical floor.
             stop = "line_search_floor"
             break
-        x_new, f_new = accepted
-
-        g_new = yield _GRADIENT
+        x_new, f_new, g_new = accepted
         counts["grad_evals"] += 1
         s = x_new - x
         y = g_new - g
@@ -288,36 +288,23 @@ def _bfgs_descent(x0: np.ndarray, max_iterations: int):
 def _lockstep(descents: list, evaluate) -> list[tuple[np.ndarray, float, dict]]:
     """Run :func:`_bfgs_descent` coroutines side by side; each one's (x, f, stats), in order.
 
-    A round has two phases. First every live descent's pending point goes
-    into one call of ``evaluate``, which maps a (B, dim) stack to
-    ``(values, pull)`` as :func:`_values_and_pullbacks` does, and each
-    descent is sent its value. Then, if any descent asks for a gradient,
-    one call of ``pull()`` returns the gradients of all B rows, and each
-    asking descent is sent its own row. So a round runs one forward and at
-    most one reverse pass, and a descent's numbers do not depend on which
-    others share its rounds.
+    Each round stacks every live descent's pending point into one call of
+    ``evaluate``, which maps a (B, dim) stack to one ``(f, grad)`` reply per
+    row, as :func:`_values_and_pullbacks` does, and sends each descent its
+    reply. So a round runs one forward and at most one reverse pass, shared
+    by every descent that reads its gradient, and a descent's numbers do not
+    depend on which others share its rounds.
     """
     ends: list = [None] * len(descents)
-
-    def answer(k: int, reply):
-        """Descent k's next request, or None once it has returned."""
-        try:
-            return descents[k].send(reply)
-        except StopIteration as end:
-            ends[k] = end.value
-            return None
-
     pending = {k: next(descent) for k, descent in enumerate(descents)}
     while pending:
-        live = list(pending)
-        values, pull = evaluate(np.array(list(pending.values())))
-        requests = [answer(k, f) for k, f in zip(live, values)]
-        asking = [row for row, request in enumerate(requests) if request is _GRADIENT]
-        if asking:
-            gradients = pull()
-            for row in asking:
-                requests[row] = answer(live[row], gradients[row])
-        pending = {k: request for k, request in zip(live, requests) if request is not None}
+        replies = evaluate(np.array(list(pending.values())))
+        for k, reply in zip(list(pending), replies):
+            try:
+                pending[k] = descents[k].send(reply)
+            except StopIteration as end:
+                ends[k] = end.value
+                del pending[k]
     return ends
 
 

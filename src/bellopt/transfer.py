@@ -261,7 +261,7 @@ def _insertion_sources(n_photons: int, n_modes: int) -> np.ndarray:
 _GATHER_BLOCK = 2048
 
 
-def _creation_step(rows: np.ndarray, vec: np.ndarray, level: int, n_modes: int,
+def _creation_step(rows: np.ndarray, vec: np.ndarray, level: int,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Multiply amplitude vectors by transformed creation operators.
 
@@ -277,7 +277,7 @@ def _creation_step(rows: np.ndarray, vec: np.ndarray, level: int, n_modes: int,
     ``vec`` is the vacuum, (1, 0), and each row's amplitudes are the row
     itself: one photon in mode j is state j.
     """
-    sources = _insertion_sources(level, n_modes)
+    sources = _insertion_sources(level, rows.shape[-1])
     k = sources.shape[1]
     if out is None:
         out = np.zeros(vec.shape[:-1] + rows.shape[-2:-1] + (k + 1,), dtype=np.complex128)
@@ -287,7 +287,7 @@ def _creation_step(rows: np.ndarray, vec: np.ndarray, level: int, n_modes: int,
     modes = slice(None)
     if np.count_nonzero(rows) < rows.size:  # the cheapest test on the dense path
         # Where the rows are exactly zero on some modes, gather only the rest.
-        modes = rows.reshape(-1, n_modes).any(axis=0)
+        modes = rows.reshape(-1, rows.shape[-1]).any(axis=0)
         rows = rows[..., modes]
     if k <= _GATHER_BLOCK:  # one block: the loop's slicing would cost as much as a small product
         np.matmul(rows, vec.take(sources[modes], axis=-1), out=out[..., :k])
@@ -329,17 +329,16 @@ def _cascade(u: np.ndarray, n_a: int):
     block of a stack without exact zeros gets the numbers it would get
     alone. The reverse pass reads the kept levels.
     """
-    m = u.shape[-1]
     padded = [np.zeros((len(u), 2), dtype=np.complex128)]
     padded[0][:, 0] = 1.0
     for j in range(n_a):
-        padded.append(_creation_step(u[:, j:j + 1], padded[-1], j, m)[:, 0])
+        padded.append(_creation_step(u[:, j:j + 1], padded[-1], j)[:, 0])
     # Both qubit levels share one gather per level, and the transposed view
     # lays the four branches out in the order of _BRANCH_ROWS.
-    qs = _creation_step(u[:, n_a:n_a + 2], padded[-1], n_a, m)
-    amps = np.empty((len(u), 4, outcome_count(n_a + 2, m)), dtype=np.complex128)
+    qs = _creation_step(u[:, n_a:n_a + 2], padded[-1], n_a)
+    amps = np.empty((len(u), 4, outcome_count(n_a + 2, u.shape[-1])), dtype=np.complex128)
     rows = u[:, n_a + 2:].take(_BRANCH_ROWS, axis=1)
-    _creation_step(rows, qs, n_a + 1, m, out=amps.reshape(len(u), 2, 2, -1).swapaxes(1, 2))
+    _creation_step(rows, qs, n_a + 1, out=amps.reshape(len(u), 2, 2, -1).swapaxes(1, 2))
     levels = [level[:, :-1] for level in padded]
     return levels, qs[..., :-1], amps
 

@@ -262,15 +262,10 @@ def value_and_pullback(x: np.ndarray, n_a: int):
 
 
 def one_at_a_time(value_and_pullback):
-    """A stack evaluator ``(values, pull)`` that answers each point x alone.
+    """A stack evaluator that replies to each point x alone, ``value_and_pullback(x)``.
 
     ``value_and_pullback(x)`` returns the value at x and a thunk for the
-    gradient there, as :func:`value_and_pullback` does; ``pull()`` stacks
-    every point's thunk, one reverse pass per point.
+    gradient there, as :func:`value_and_pullback` does, so each thunk runs
+    one reverse pass for its own point.
     """
-
-    def evaluate(points):
-        values, thunks = zip(*map(value_and_pullback, points))
-        return values, lambda: np.array([thunk() for thunk in thunks])
-
-    return evaluate
+    return lambda points: [value_and_pullback(x) for x in points]

@@ -8,7 +8,7 @@ from bellopt import conditions, transfer
 from bellopt.conditions import (
     Clause,
     _bunched_indices,
-    bunched_two_mode_outcomes,
+    _bunched_table,
     check_column_conditions,
     clause_verdicts,
     conditioned_vs_unconditioned_experiment,
@@ -156,7 +156,7 @@ def test_clause_soundness_zero_entropy_terms():
 
 
 def test_bunched_outcome_enumeration():
-    outcomes = bunched_two_mode_outcomes(0)
+    outcomes = _bunched_table(0)[0]
     occs = set(map(tuple, outcomes.tolist()))
     assert (2, 0, 0, 0) in occs
     assert (1, 1, 0, 0) in occs
@@ -166,13 +166,13 @@ def test_bunched_outcome_enumeration():
     assert len(outcomes) == 4 + 6
     # N=8, M=10: ten single-mode outcomes, 90 ordered pairs for each of the
     # splits 7+1, 6+2, 5+3, and C(10,2) pairs for 4+4
-    assert len(bunched_two_mode_outcomes(6)) == 10 + 3 * 90 + 45
+    assert len(_bunched_table(6)[0]) == 10 + 3 * 90 + 45
     # Built from mode pairs, they are the alphabet's bunched rows, in its order.
     for n_a in range(7):
-        assert np.array_equal(bunched_two_mode_outcomes(n_a),
+        assert np.array_equal(_bunched_table(n_a)[0],
                               enumerate_outcomes(n_a + 2, n_a + 4)[_bunched_indices(n_a)])
     with pytest.raises(ContractViolationError):
-        bunched_two_mode_outcomes(-1)
+        _bunched_table(-1)
 
 
 def _zero_column_subunitary(m: int, seed: int) -> CircuitMatrix:
@@ -198,7 +198,7 @@ def test_two_mode_scan_matches_the_whole_alphabet_cascade(case):
     u = make()
     bunched = _bunched_indices(n_a)
     want = transfer._cascade(u.entries[None], n_a)[2][0].T[bunched]
-    outcomes = bunched_two_mode_outcomes(n_a)
+    outcomes = _bunched_table(n_a)[0]
     verdicts = scan_bunched_two_mode(u, n_a)
     assert np.max(np.abs(verdicts.amplitudes - want)) <= 1e-12
     reference = clause_verdicts(outcomes, want, _bosonic_factor_array(n_a + 2, n_a + 4)[bunched])
@@ -237,7 +237,7 @@ def test_scan_never_builds_the_alphabet_and_bounds_its_peak(monkeypatch):
 @pytest.mark.parametrize("n_a", range(7))
 def test_scan_has_one_row_per_bunched_outcome(n_a):
     verdicts = scan_bunched_two_mode(haar_random_unitary(n_a + 4, 90 + n_a), n_a)
-    assert len(verdicts) == len(bunched_two_mode_outcomes(n_a))
+    assert len(verdicts) == len(_bunched_table(n_a)[0])
     for column in (verdicts.outcomes, verdicts.clause, verdicts.amplitudes,
                    verdicts.ambiguous, verdicts.sign, verdicts.prob_mass):
         assert len(column) == len(verdicts)
@@ -259,7 +259,7 @@ def test_scan_matches_permanent_reference(n_a, make):
     """The cascade-backed scan agrees with classifying each outcome by permanents."""
     u = make()
     verdicts = scan_bunched_two_mode(u, n_a)
-    assert np.array_equal(verdicts.outcomes, bunched_two_mode_outcomes(n_a))
+    assert np.array_equal(verdicts.outcomes, _bunched_table(n_a)[0])
     for i, outcome in enumerate(map(tuple, verdicts.outcomes.tolist())):
         ref = classify_outcome(u, outcome, n_a)
         assert verdicts.clause[i] == ref.clause.item()

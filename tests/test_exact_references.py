@@ -132,11 +132,12 @@ def test_stacked_evaluation_equals_each_row_alone(n_a, rows):
     # the whole stack the gradient, that it gets alone and from the references.
     rng = np.random.default_rng(40 + n_a)
     points = np.stack([initial_vector(n_a, 0.5, rng) for _ in range(4)])[rows]
-    values, pull = _values_and_pullbacks(points, n_a)
-    assert len(values) == len(rows)
-    gradients = pull()
-    assert gradients.shape == points.shape
-    for x, f, g in zip(points, values, gradients):
+    replies = _values_and_pullbacks(points, n_a)
+    assert len(replies) == len(rows)
+    gradients = [grad() for _, grad in replies]
+    assert np.stack(gradients).shape == points.shape
+    assert all(g.base is gradients[0].base is not None for g in gradients)  # one pull
+    for x, (f, _), g in zip(points, replies, gradients):
         f_alone, pull_alone = _value_and_pullback(x, n_a)
         want_f, want_pull = reference.value_and_pullback(x, n_a)
         assert type(f) is float and f == f_alone == want_f

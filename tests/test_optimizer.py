@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+import weakref
 from functools import partial
 
 import numpy as np
@@ -34,7 +35,7 @@ from bellopt.unitary import (
 
 
 def descend(x0: np.ndarray, n_a: int, max_iterations: int):
-    """One descent from x0, answered by the production ``(values, pull)``: (x, f, stats)."""
+    """One descent from x0, answered by the production ``(f, grad)`` replies: (x, f, stats)."""
     return _lockstep([_bfgs_descent(x0, max_iterations)],
                      partial(_values_and_pullbacks, n_a=n_a))[0]
 
@@ -255,21 +256,23 @@ def test_descent_runs_one_forward_per_trial(monkeypatch, n_a):
 
 
 @pytest.mark.parametrize("n_a", [0, 2])
-def test_lockstep_round_runs_one_forward_and_at_most_one_pull(n_a):
-    rounds = []
+def test_lockstep_round_runs_one_forward_and_at_most_one_pull(n_a, monkeypatch):
+    rounds = []  # per round, the rows of each reverse pass it ran
+
+    def counting_pullback(u, n_a):
+        p, garbage, pullback = bell_probability_pullback(u, n_a)
+
+        def counted(p_bar, g_bar):
+            rounds[-1].append(len(p_bar))
+            return pullback(p_bar, g_bar)
+
+        return p, garbage, counted
 
     def counting(points):
-        values, pull = _values_and_pullbacks(points, n_a)
-        pulled = []
-        rounds.append(pulled)
+        rounds.append([])
+        return _values_and_pullbacks(points, n_a)
 
-        def counted():
-            gradients = pull()
-            pulled.append(len(gradients))
-            return gradients
-
-        return values, counted
-
+    monkeypatch.setattr(optimizer, "bell_probability_pullback", counting_pullback)
     starts = [initial_vector(n_a, 0.5, np.random.default_rng(20 + i)) for i in range(6)]
     ends = _lockstep([_bfgs_descent(x0, 30) for x0 in starts], counting)
     stats = [end[2] for end in ends]
@@ -387,13 +390,38 @@ def test_records_do_not_depend_on_the_groups(monkeypatch, n_a):
         assert all(np.array_equal(x, y) for x, y in zip(ends, together[1], strict=True))
 
 
+def test_descents_keep_no_thunk_past_its_round():
+    # A thunk holds its round's forward alive. When a round is evaluated,
+    # only the last round's replies may still be held, not the start's
+    # thunk nor an accepted trial's.
+    rounds = []
+
+    def evaluate(points):
+        assert all(ref() is None for old in rounds[:-1] for ref in old)
+        replies = _values_and_pullbacks(points, 0)
+        rounds.append([weakref.ref(grad) for _, grad in replies])
+        return replies
+
+    starts = [initial_vector(0, 0.5, np.random.default_rng(30 + i)) for i in range(2)]
+    ends = _lockstep([_bfgs_descent(x0, 30) for x0 in starts], evaluate)
+    assert all(end[2]["iterations"] > 1 and end[2]["backtracks"] > 0 for end in ends)
+
+
 def test_failed_steepest_search_is_not_repeated():
     # Every trial is worse than the start, so the first search along -g
     # fails; searching -g again could only fail the same way.
+    pulled = []  # the point of each reverse pass
+
     def rising(x):
-        return 1.0 + float(np.abs(x).sum()), lambda: np.ones_like(x)
+        def grad():
+            pulled.append(x)
+            return np.ones_like(x)
+
+        return 1.0 + float(np.abs(x).sum()), grad
 
     _, _, stats = _lockstep([_bfgs_descent(np.zeros(16), 20)], one_at_a_time(rising))[0]
+    # No trial is accepted, so the only pull is the start's.
+    assert len(pulled) == 1 and np.array_equal(pulled[0], np.zeros(16))
     assert stats["stop"] == "line_search_floor"
     assert stats["iterations"] == 0
     assert stats["f_evals"] == stats["backtracks"] == optimizer._MAX_BACKTRACKS
